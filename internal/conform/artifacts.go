@@ -180,6 +180,22 @@ func (c *Ctx) SimReport() simReport {
 	})
 }
 
+// SimShort is a small clean sim.BuildReport dataset at the 10 ms
+// granularity (3 traces x 240 samples, each cut from a 45 s OpX drive).
+// The seed offset puts the urban trace's cut inside an 8-CC mmWave set,
+// so the golden pins co-channel interference and CA churn on the path
+// where most steps skip the RRC evaluation.
+func (c *Ctx) SimShort() simReport {
+	return memoized(c, "sim_short", func() simReport {
+		spec := sim.SubDatasetSpec{Operator: spectrum.OpX, Mobility: mobility.Driving, Gran: sim.Short}
+		ds, rep := sim.BuildReport(spec, sim.BuildOpts{
+			Traces: 3, SamplesPerTrace: 240, Seed: c.Cfg.Seed + 11,
+			Modem: ran.ModemX70, Workers: c.Cfg.Workers,
+		})
+		return simReport{DS: ds, Faults: rep}
+	})
+}
+
 // MIMOTrace is a stationary ideal run locked to the 4CC OpZ combo
 // n41+n71+n25+n41. With two FDD carriers in the lock, at most one can be
 // the PCell, so the other is guaranteed to exercise the deep-CA FDD-SCell

@@ -118,29 +118,32 @@ func goldenProducers() map[string]func(*Ctx) any {
 			}
 			return d
 		},
-		"sim_report": func(c *Ctx) any {
-			sr := c.SimReport()
-			d := simReportDigest{
-				Name:          sr.DS.Name,
-				Traces:        len(sr.DS.Traces),
-				StepS:         sr.DS.StepS,
-				DatasetSHA256: sha256JSON(sr.DS),
-				FaultsTotal:   sr.Faults.Total(),
-			}
-			var agg []float64
-			for i := range sr.DS.Traces {
-				d.Samples += len(sr.DS.Traces[i].Samples)
-				agg = append(agg, sr.DS.Traces[i].AggSeries()...)
-			}
-			d.MeanAggMbps = stats.Mean(agg)
-			for _, v := range agg {
-				if v > d.PeakAggMbps {
-					d.PeakAggMbps = v
-				}
-			}
-			return d
-		},
+		"sim_report": func(c *Ctx) any { return digestSimReport(c.SimReport()) },
+		"sim_short":  func(c *Ctx) any { return digestSimReport(c.SimShort()) },
 	}
+}
+
+// digestSimReport compresses a built dataset into its golden digest.
+func digestSimReport(sr simReport) simReportDigest {
+	d := simReportDigest{
+		Name:          sr.DS.Name,
+		Traces:        len(sr.DS.Traces),
+		StepS:         sr.DS.StepS,
+		DatasetSHA256: sha256JSON(sr.DS),
+		FaultsTotal:   sr.Faults.Total(),
+	}
+	var agg []float64
+	for i := range sr.DS.Traces {
+		d.Samples += len(sr.DS.Traces[i].Samples)
+		agg = append(agg, sr.DS.Traces[i].AggSeries()...)
+	}
+	d.MeanAggMbps = stats.Mean(agg)
+	for _, v := range agg {
+		if v > d.PeakAggMbps {
+			d.PeakAggMbps = v
+		}
+	}
+	return d
 }
 
 // GoldenNames lists every fixture in a stable order.
