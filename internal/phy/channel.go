@@ -16,24 +16,51 @@ const (
 	shadowDecorrelationM = 37.0
 )
 
-// PathLossLOS returns the UMa line-of-sight path loss in dB for a 3D
-// distance d (meters) and carrier frequency f (GHz), per TR 38.901
-// Table 7.4.1-1 (pre-breakpoint form).
-func PathLossLOS(dM, fGHz float64) float64 {
-	if dM < 1 {
-		dM = 1
-	}
-	return 28.0 + 22.0*math.Log10(dM) + 20.0*math.Log10(fGHz)
+// Carrier holds the frequency-dependent terms of one carrier's link
+// budget. They cannot change while a UE moves, so a cell or link computes
+// them once, at creation, and the per-step path only adds what depends on
+// the distance.
+type Carrier struct {
+	FreqGHz float64
+	SCSKHz  int
+	// freqDB is the 20*log10(f) term both UMa path-loss formulas share.
+	freqDB float64
+	// IndoorDB is the building-entry loss at this frequency.
+	IndoorDB float64
+	// NoiseDBm is the thermal noise over one resource element.
+	NoiseDBm float64
+	// TxPerREdBm is the default per-RE transmit power.
+	TxPerREdBm float64
 }
 
-// PathLossNLOS returns the UMa non-line-of-sight path loss in dB, defined as
-// the maximum of the LOS loss and the NLOS formula (UE height 1.5 m).
-func PathLossNLOS(dM, fGHz float64) float64 {
+// NewCarrier computes the link-budget constants of a carrier at frequency
+// f (GHz) with the given sub-carrier spacing.
+func NewCarrier(fGHz float64, scsKHz int) Carrier {
+	return Carrier{
+		FreqGHz:    fGHz,
+		SCSKHz:     scsKHz,
+		freqDB:     20.0 * math.Log10(fGHz),
+		IndoorDB:   IndoorPenetrationDB(fGHz),
+		NoiseDBm:   NoiseDBm(scsKHz),
+		TxPerREdBm: TxPowerPerREdBm(fGHz),
+	}
+}
+
+// PathLoss returns the UMa path loss in dB at 3D distance d (meters, below
+// 1 m clamped to 1 m), per TR 38.901 Table 7.4.1-1 (pre-breakpoint form).
+// The LOS loss is 28 + 22*log10(d) + 20*log10(f); the NLOS loss is the
+// maximum of the LOS loss and 13.54 + 39.08*log10(d) + 20*log10(f) (UE
+// height 1.5 m).
+func (c *Carrier) PathLoss(dM float64, los bool) float64 {
 	if dM < 1 {
 		dM = 1
 	}
-	nlos := 13.54 + 39.08*math.Log10(dM) + 20.0*math.Log10(fGHz)
-	return math.Max(PathLossLOS(dM, fGHz), nlos)
+	logD := math.Log10(dM)
+	pl := 28.0 + 22.0*logD + c.freqDB
+	if los {
+		return pl
+	}
+	return math.Max(pl, 13.54+39.08*logD+c.freqDB)
 }
 
 // LOSProbability returns the UMa probability that a link of 2D distance d
@@ -172,8 +199,7 @@ func (bs *BandState) Value() float64 { return bs.dev.Value() }
 // shadowing, the band's deviation, and adds a small per-carrier deviation
 // (frequency-selective large-scale effects).
 type Link struct {
-	FreqGHz float64
-	SCSKHz  int
+	Carrier
 	// Site is the shared per-site propagation state.
 	Site *SiteState
 	// Band is the shared per-(site, band) deviation.
@@ -183,7 +209,7 @@ type Link struct {
 	// pendingSteps accumulates fractional deviation-process steps.
 	pendingSteps float64
 	// txPerREdBm can override the default per-RE transmit power; zero
-	// means use TxPowerPerREdBm. The RAN lowers this for some SCells
+	// means use Carrier.TxPerREdBm. The RAN lowers this for some SCells
 	// under CA (paper Fig 14).
 	txPerREdBm float64
 }
@@ -192,8 +218,7 @@ type Link struct {
 // state.
 func NewLink(src *rng.Source, fGHz float64, scsKHz int, site *SiteState, band *BandState) *Link {
 	return &Link{
-		FreqGHz: fGHz,
-		SCSKHz:  scsKHz,
+		Carrier: NewCarrier(fGHz, scsKHz),
 		Site:    site,
 		Band:    band,
 		dev:     rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1))),
@@ -209,7 +234,7 @@ func (l *Link) TxPowerPerRE() float64 {
 	if l.txPerREdBm != 0 {
 		return l.txPerREdBm
 	}
-	return TxPowerPerREdBm(l.FreqGHz)
+	return l.TxPerREdBm
 }
 
 // Move advances the per-carrier deviation; the shared site state is moved
@@ -238,14 +263,9 @@ type RadioState struct {
 // indoor adds building-entry loss; loadINR is the interference-to-noise
 // ratio (linear) from neighbour-cell load.
 func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
-	var pl float64
-	if l.Site.LOS {
-		pl = PathLossLOS(dM, l.FreqGHz)
-	} else {
-		pl = PathLossNLOS(dM, l.FreqGHz)
-	}
+	pl := l.PathLoss(dM, l.Site.LOS)
 	if indoor {
-		pl += IndoorPenetrationDB(l.FreqGHz)
+		pl += l.IndoorDB
 	}
 	rsrp := l.TxPowerPerRE() - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
 	if rsrp > -44 {
@@ -254,8 +274,8 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	if rsrp < -140 {
 		rsrp = -140 // detection floor
 	}
-	noise := NoiseDBm(l.SCSKHz)
-	sinr := rsrp - noise - 10*math.Log10(1+loadINR)
+	intfDB := 10 * math.Log10(1+loadINR)
+	sinr := rsrp - l.NoiseDBm - intfDB
 	if sinr > 32 {
 		sinr = 32 // practical ceiling: EVM, pilot contamination
 	}
@@ -266,7 +286,7 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	// power plus interference this reduces to roughly -10.8 dB minus the
 	// interference-plus-noise excess.
 	snrLin := math.Pow(10, sinr/10)
-	rsrq := -10.8 - 10*math.Log10(1+loadINR) - 10*math.Log10(1+3/math.Max(snrLin, 0.1))/3
+	rsrq := -10.8 - intfDB - 10*math.Log10(1+3/math.Max(snrLin, 0.1))/3
 	if rsrq < -19.5 {
 		rsrq = -19.5
 	}

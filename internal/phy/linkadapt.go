@@ -23,18 +23,30 @@ func CQIFromSINR(sinrDB float64) int {
 	return CQIFromEfficiency(EffectiveEfficiency(sinrDB))
 }
 
-// sinrForCQI returns the approximate SINR (dB) at which a given CQI becomes
-// reportable — the inverse of CQIFromSINR at the table boundary.
-func sinrForCQI(cqi int) float64 {
+// sinrForCQITable holds SINRForCQI per CQI index (entry 0 is out of
+// range), computed once from the CQI table.
+var sinrForCQITable = func() (t [MaxCQI + 1]float64) {
+	t[0] = -10
+	for cqi := 1; cqi <= MaxCQI; cqi++ {
+		eff := CQITable256QAM[cqi-1].Efficiency
+		lin := math.Pow(2, eff/shannonAlpha) - 1
+		t[cqi] = 10 * math.Log10(lin)
+	}
+	return t
+}()
+
+// SINRForCQI returns the approximate SINR (dB) at which a given CQI
+// becomes reportable — the inverse of CQIFromSINR at the table boundary,
+// i.e. the SINR the CQI's efficiency requires under the attenuated
+// Shannon map.
+func SINRForCQI(cqi int) float64 {
 	if cqi <= 0 {
-		return -10
+		return sinrForCQITable[0]
 	}
 	if cqi > MaxCQI {
 		cqi = MaxCQI
 	}
-	eff := CQITable256QAM[cqi-1].Efficiency
-	lin := math.Pow(2, eff/shannonAlpha) - 1
-	return 10 * math.Log10(lin)
+	return sinrForCQITable[cqi]
 }
 
 // BLER models the residual block-error rate after link adaptation. The
@@ -107,6 +119,6 @@ func Adapt(sinrDB float64, maxRank int, cqiLagDB float64) LinkAdaptation {
 	cqi := CQIFromSINR(sinrDB)
 	mcs := MCSFromCQI(cqi)
 	layers := RankFromSINR(sinrDB, maxRank)
-	margin := sinrDB - sinrForCQI(cqi) - cqiLagDB
+	margin := sinrDB - SINRForCQI(cqi) - cqiLagDB
 	return LinkAdaptation{CQI: cqi, MCS: mcs, Layers: layers, BLER: BLER(margin)}
 }

@@ -192,23 +192,26 @@ func TestSpectralEfficiency(t *testing.T) {
 func TestPathLossProperties(t *testing.T) {
 	// Monotone in distance and frequency; NLOS >= LOS.
 	for _, f := range []float64{0.6, 2.5, 3.7, 28} {
+		c := NewCarrier(f, 30)
 		prev := 0.0
 		for _, d := range []float64{10, 50, 100, 500, 1000, 3000} {
-			pl := PathLossLOS(d, f)
+			pl := c.PathLoss(d, true)
 			if pl <= prev {
 				t.Fatalf("LOS PL not increasing at d=%f f=%f", d, f)
 			}
 			prev = pl
-			if PathLossNLOS(d, f) < pl {
+			if c.PathLoss(d, false) < pl {
 				t.Fatalf("NLOS < LOS at d=%f f=%f", d, f)
 			}
 		}
 	}
-	if PathLossLOS(100, 0.6) >= PathLossLOS(100, 28) {
+	low, high := NewCarrier(0.6, 15), NewCarrier(28, 120)
+	if low.PathLoss(100, true) >= high.PathLoss(100, true) {
 		t.Fatal("higher frequency should have more path loss")
 	}
 	// Sub-1m clamps to 1m.
-	if PathLossLOS(0.1, 2.5) != PathLossLOS(1, 2.5) {
+	mid := NewCarrier(2.5, 30)
+	if mid.PathLoss(0.1, true) != mid.PathLoss(1, true) || mid.PathLoss(0.1, false) != mid.PathLoss(1, false) {
 		t.Fatal("distance not clamped")
 	}
 }

@@ -58,9 +58,9 @@ func TestQuickPathLossMonotone(t *testing.T) {
 		if d1 > d2 {
 			d1, d2 = d2, d1
 		}
-		f1 := []float64{0.6, 0.85, 1.9, 2.5, 3.7, 28, 39}[int(fRaw)%7]
-		return PathLossLOS(d1, f1) <= PathLossLOS(d2, f1) &&
-			PathLossNLOS(d1, f1) <= PathLossNLOS(d2, f1)
+		c := NewCarrier([]float64{0.6, 0.85, 1.9, 2.5, 3.7, 28, 39}[int(fRaw)%7], 30)
+		return c.PathLoss(d1, true) <= c.PathLoss(d2, true) &&
+			c.PathLoss(d1, false) <= c.PathLoss(d2, false)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

@@ -108,6 +108,11 @@ func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *
 	}
 	mv := mobility.NewMover(cfg.Scenario, cfg.Mobility, start, src)
 
+	steps := int(cfg.DurationS / cfg.StepS)
+	var samples []trace.Sample
+	if steps > 0 {
+		samples = make([]trace.Sample, 0, steps) // RecordStep fills it in place
+	}
 	return &Runner{
 		cfg:   cfg,
 		net:   net,
@@ -124,7 +129,8 @@ func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *
 				Route:     cfg.Route,
 				Run:       cfg.Run,
 			},
-			StepS: cfg.StepS,
+			StepS:   cfg.StepS,
+			Samples: samples,
 		},
 		stats:      RunStats{Census: spectrum.NewComboCensus()},
 		slots:      newSlotTable(),
@@ -132,7 +138,7 @@ func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *
 		indoor:     cfg.Scenario.IsIndoor(),
 		stepNet:    stepNet,
 		prevCCs:    -1,
-		steps:      int(cfg.DurationS / cfg.StepS),
+		steps:      steps,
 	}
 }
 
@@ -186,7 +192,8 @@ func (r *Runner) RecordStep() {
 		}
 	}
 
-	var s trace.Sample
+	r.tr.Samples = append(r.tr.Samples, trace.Sample{})
+	s := &r.tr.Samples[len(r.tr.Samples)-1]
 	s.T = snap.At - r.t0
 	s.AggTput = snap.AggregateMbps
 	s.NumActiveCCs = snap.NumActiveCCs
@@ -199,7 +206,7 @@ func (r *Runner) RecordStep() {
 		dst := &s.CCs[slot]
 		dst.Present = true
 		dst.BandName = cc.Chan.Band.Name
-		dst.ChannelID = cc.Chan.ID()
+		dst.ChannelID = cc.ChannelID
 		dst.IsPCell = cc.IsPCell
 		if cc.Active {
 			dst.Vec[trace.FActive] = 1
@@ -219,7 +226,6 @@ func (r *Runner) RecordStep() {
 		dst.Vec[trace.FMCS] = float64(cc.MCS)
 		dst.Vec[trace.FTput] = cc.TputMbps
 	}
-	r.tr.Samples = append(r.tr.Samples, s)
 
 	r.aggSum += snap.AggregateMbps
 	if snap.AggregateMbps > r.stats.PeakAggMbps {
@@ -232,8 +238,8 @@ func (r *Runner) RecordStep() {
 		r.stats.CCChangeCount++
 	}
 	r.prevCCs = snap.NumActiveCCs
-	if combo := r.eng.Combo(); len(combo) > 0 {
-		r.stats.Census.Observe(combo)
+	if key, setKey := r.eng.ComboKeys(); key != "" {
+		r.stats.Census.ObserveKeys(key, setKey)
 	}
 	r.done++
 }

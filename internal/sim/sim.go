@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"prism5g/internal/faults"
 	"prism5g/internal/mobility"
@@ -154,18 +155,16 @@ func newSlotTable() *slotTable {
 
 // sync reconciles the table with the current serving set.
 func (st *slotTable) sync(ccs []ran.CCObservation) {
-	current := map[int]bool{}
 	var pcellPCI int
 	hasPCell := false
 	for _, cc := range ccs {
-		current[cc.PCI] = true
 		if cc.IsPCell {
 			pcellPCI, hasPCell = cc.PCI, true
 		}
 	}
 	// Release departed CCs.
 	for pci, slot := range st.byPCI {
-		if !current[pci] {
+		if !slices.ContainsFunc(ccs, func(cc ran.CCObservation) bool { return cc.PCI == pci }) {
 			st.used[slot] = false
 			delete(st.byPCI, pci)
 		}

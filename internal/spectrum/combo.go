@@ -130,9 +130,13 @@ func NewComboCensus() *ComboCensus {
 }
 
 // Observe records one occurrence of the combo.
-func (cc *ComboCensus) Observe(c Combo) {
-	cc.ordered[c.Key()]++
-	cc.sets[c.SetKey()]++
+func (cc *ComboCensus) Observe(c Combo) { cc.ObserveKeys(c.Key(), c.SetKey()) }
+
+// ObserveKeys records one occurrence of the combo with the given Key and
+// SetKey, for callers that keep a combo's keys while it persists.
+func (cc *ComboCensus) ObserveKeys(key, setKey string) {
+	cc.ordered[key]++
+	cc.sets[setKey]++
 }
 
 // OrderedCount returns the number of distinct ordered combinations seen.
