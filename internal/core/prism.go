@@ -427,5 +427,3 @@ func (p *Prism5G) PredictPerCC(w trace.Window) [][]float64 {
 	p.pool.Put(s)
 	return out
 }
-
-func zeroVec(n int) []float64 { return make([]float64, n) }

@@ -164,6 +164,10 @@ type Engine struct {
 	// reused by the next.
 	cands    []*Cell
 	ms, adds []measurement
+	// terms holds, per cell of Net.Cells, its interference term within
+	// the current evaluation (gen); entries of earlier ones are stale.
+	terms []interferenceTerm
+	gen   uint64
 
 	// bandLock restricts usable bands (the paper's [C1] band locking via
 	// operator service codes). Empty means unrestricted.
@@ -186,6 +190,13 @@ type Engine struct {
 	reattaching bool
 }
 
+// interferenceTerm is a cell's co-channel interference term and the
+// evaluation it was computed in.
+type interferenceTerm struct {
+	gen uint64
+	v   float64
+}
+
 // trackedSite pairs a site's shared propagation state with its position.
 type trackedSite struct {
 	pos mobility.Point
@@ -201,6 +212,7 @@ func NewEngine(net *Network, ue UE, cfg Config, src *rng.Source) *Engine {
 		links:     map[int]*phy.Link{},
 		sites:     map[int]*phy.SiteState{},
 		bands:     map[string]*phy.BandState{},
+		terms:     make([]interferenceTerm, len(net.Cells)),
 		src:       src.Split(),
 		bandLock:  map[string]bool{},
 		chanLock:  map[string]bool{},
@@ -315,14 +327,31 @@ func (e *Engine) syncServing() {
 	e.comboKey, e.comboSetKey = combo.Key(), combo.SetKey()
 }
 
-// measure evaluates the link radio state of a cell from position p.
-// Interference comes from co-channel cells at other sites (frequency
-// reuse 1): each contributes its mean received power scaled by its load.
+// measure evaluates the link radio state of a cell from position p during
+// an evaluation. Interference comes from co-channel cells at other sites
+// (frequency reuse 1): each contributes its mean received power scaled by
+// its load.
 func (e *Engine) measure(c *Cell, p mobility.Point, indoor bool) phy.RadioState {
 	d := c.Pos.Dist(p)
 	l := e.link(c, d)
-	inr := c.CoChannelINR(p, indoor)
-	return l.Evaluate(d, indoor, inr)
+	return l.Evaluate(d, indoor, e.coChannelINR(c, p, indoor))
+}
+
+// coChannelINR is c.CoChannelINR(p, indoor) with each interferer's term
+// computed once per evaluation: within one, the UE position and every
+// load are fixed and a term does not depend on which co-channel cell's
+// sum it enters, so the candidates of a channel share it. Each sum still
+// adds its own interferers' terms in order, giving CoChannelINR's bits.
+func (e *Engine) coChannelINR(c *Cell, p mobility.Point, indoor bool) float64 {
+	inr := 0.0
+	for _, other := range c.interferers {
+		t := &e.terms[other.idx]
+		if t.gen != e.gen {
+			t.gen, t.v = e.gen, other.interference(p, indoor)
+		}
+		inr += t.v
+	}
+	return inr
 }
 
 // remeasure returns the radio state of a serving cell during an
@@ -426,6 +455,7 @@ type measurement struct {
 
 // evaluate runs one RRC measurement/decision round.
 func (e *Engine) evaluate(p mobility.Point, indoor bool) {
+	e.gen++ // the terms of earlier evaluations go stale
 	e.cands = e.Net.CandidateCells(e.cands[:0], p, e.Cfg.Tech)
 	e.ms = e.ms[:0]
 	for _, c := range e.cands {

@@ -53,6 +53,14 @@ type Cell struct {
 	// interferers are the co-channel cells at other sites, in deployment
 	// order.
 	interferers []*Cell
+	// idx is the cell's position in Network.Cells.
+	idx int
+
+	// net is the network that deployed the cell: Load follows its load
+	// log. loadSteps counts the StepLoads calls the load process has
+	// applied, and loadRun indexes the log run holding the last of them.
+	net                *Network
+	loadRun, loadSteps int
 }
 
 // ID returns a human-readable cell identifier.
@@ -86,7 +94,13 @@ func (c *Cell) CoverageRadiusM() float64 {
 // scheduler grants and raises the interference this cell radiates into
 // co-channel neighbours — cell breathing emerges from load rather than a
 // scripted profile.
+//
+// Load first applies, in order, the network's StepLoads calls the cell
+// has not applied yet, so it advances state: see Network.
 func (c *Cell) Load() float64 {
+	if c.loadSteps < c.net.loadSteps {
+		c.catchUpLoad()
+	}
 	l := c.load.Value()
 	if c.popLoad != 0 {
 		l += c.popLoad
@@ -133,6 +147,22 @@ func (c *Cell) SetPopLoad(v float64) {
 // PopLoad returns the current out-of-shard population load.
 func (c *Cell) PopLoad() float64 { return c.popLoad }
 
+// catchUpLoad applies the logged StepLoads calls the load process has not
+// applied: per call, the parameters StepLoads logged and one OU step. The
+// process draws from its own rng stream, so applying a call late gives
+// the bits applying it at once would have given.
+func (c *Cell) catchUpLoad() {
+	log := c.net.loadLog
+	for i := c.loadRun; i < len(log); i++ {
+		r := &log[i]
+		c.load.Theta, c.load.Sigma, c.load.Mean = r.theta, r.sigma, c.baseLoad*r.tod
+		for ; c.loadSteps < r.end; c.loadSteps++ {
+			c.load.Step()
+		}
+	}
+	c.loadRun = len(log) - 1
+}
+
 // loadTauS is the background-load decorrelation time constant.
 const loadTauS = 40.0
 
@@ -141,6 +171,10 @@ const loadStd = 0.06
 
 // Network is an operator's RAN deployed over a scenario: all cells of all
 // sites, plus the deployment geometry.
+//
+// A Network belongs to one goroutine: reading a cell's load advances the
+// cell's load process (Cell.Load), so the network, its cells and the
+// engines measuring them must not be used concurrently.
 type Network struct {
 	Operator spectrum.Operator
 	Plan     spectrum.Plan
@@ -149,6 +183,19 @@ type Network struct {
 	Cells    []*Cell
 
 	cellsBySite map[int][]*Cell
+
+	// loadLog holds the StepLoads calls as runs of equal parameters and
+	// loadSteps counts the calls; each cell applies them when read.
+	loadLog   []loadRun
+	loadSteps int
+}
+
+// loadRun is a run of StepLoads calls with equal parameters: the OU rate
+// and noise scale and the time-of-day multiplier. end is the number of
+// calls up to and including the run's last.
+type loadRun struct {
+	theta, sigma, tod float64
+	end               int
 }
 
 // deployProb returns the probability that a site of the scenario hosts the
@@ -305,6 +352,8 @@ func NewNetwork(op spectrum.Operator, sc mobility.Scenario, src *rng.Source) *Ne
 				baseLoad: baseLoadFor(sc, ch),
 				id:       fmt.Sprintf("%s@%d#%d", ch.ID(), siteIdx, pci),
 				chanID:   ch.ID(),
+				idx:      len(n.Cells),
+				net:      n,
 			}
 			c.carrier = phy.NewCarrier(c.FreqGHz(), ch.SCSKHz)
 			c.coverageM = c.CoverageRadiusM()
@@ -353,31 +402,50 @@ func (n *Network) CandidateCells(dst []*Cell, p mobility.Point, tech spectrum.Te
 func (c *Cell) CoChannelINR(p mobility.Point, indoor bool) float64 {
 	inr := 0.0
 	for _, other := range c.interferers {
-		d := other.Pos.Dist(p)
-		if d > other.reachM {
-			continue
-		}
-		pl := c.carrier.PathLoss(d, false)
-		if indoor {
-			pl += c.carrier.IndoorDB
-		}
-		rx := c.carrier.TxPerREdBm - pl
-		inr += math.Pow(10, (rx-c.carrier.NoiseDBm)/10) * other.Load()
+		inr += other.interference(p, indoor)
 	}
 	return inr
+}
+
+// interference is the cell's term in the co-channel sum of a UE at p on
+// its channel: its mean received power over noise, weighted by its load,
+// or 0 beyond its reach. Adding 0 leaves a sum of such terms bit for bit
+// as skipping it would. Every cell of a channel holds the same carrier
+// terms, so the term does not depend on which co-channel cell's sum it
+// enters.
+func (c *Cell) interference(p mobility.Point, indoor bool) float64 {
+	d := c.Pos.Dist(p)
+	if d > c.reachM {
+		return 0
+	}
+	pl := c.carrier.PathLoss(d, false)
+	if indoor {
+		pl += c.carrier.IndoorDB
+	}
+	rx := c.carrier.TxPerREdBm - pl
+	return math.Pow(10, (rx-c.carrier.NoiseDBm)/10) * c.Load()
 }
 
 // StepLoads advances every cell's background-load process by dt seconds
 // and applies the time-of-day multiplier (1.0 at the paper's midnight
 // measurement window; rush hour pushes ~1.9x). The process dynamics are
 // dt-aware so the same physics holds at 10 ms and 1 s sampling.
+//
+// The step is logged, not applied: each cell applies it when its load is
+// next read, so a cell no UE reads never draws. A call with the
+// parameters of the previous one extends its run, so the log stays one
+// entry long while dt and the multiplier stay fixed.
 func (n *Network) StepLoads(todMultiplier, dt float64) {
 	theta := 1 - math.Exp(-dt/loadTauS)
 	sigma := loadStd * math.Sqrt(theta*(2-theta))
-	for _, c := range n.Cells {
-		c.load.Theta = theta
-		c.load.Sigma = sigma
-		c.load.Mean = c.baseLoad * todMultiplier
-		c.load.Step()
+	n.loadSteps++
+	if k := len(n.loadLog) - 1; k >= 0 {
+		if r := &n.loadLog[k]; sameBits(r.theta, theta) && sameBits(r.sigma, sigma) && sameBits(r.tod, todMultiplier) {
+			r.end = n.loadSteps
+			return
+		}
 	}
+	n.loadLog = append(n.loadLog, loadRun{theta: theta, sigma: sigma, tod: todMultiplier, end: n.loadSteps})
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }

@@ -3,6 +3,8 @@ package ran
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
 	"prism5g/internal/mobility"
@@ -148,6 +150,168 @@ func TestCellConstantsMatchDefinitions(t *testing.T) {
 			}
 			if want != len(c.interferers) {
 				t.Fatalf("cell %s: %d interferers, want %d", c.ID(), len(c.interferers), want)
+			}
+		}
+	}
+}
+
+// refStepLoads is StepLoads as it was before steps were logged and applied
+// on read: every cell's load process stepped at once.
+func refStepLoads(n *Network, todMultiplier, dt float64) {
+	theta := 1 - math.Exp(-dt/loadTauS)
+	sigma := loadStd * math.Sqrt(theta*(2-theta))
+	for _, c := range n.Cells {
+		c.load.Theta = theta
+		c.load.Sigma = sigma
+		c.load.Mean = c.baseLoad * todMultiplier
+		c.load.Step()
+	}
+}
+
+// TestLazyLoadsMatchEagerReference drives two networks built from one
+// seed through one seeded schedule of dt (0.01, 0.2, 1 s) and time-of-day
+// (0.4, 1, 1.9) changes, one with StepLoads and one with the eager
+// reference loop, and reads their cells in four ways: every step, at
+// random steps, before the first step and then at random steps, and only
+// at the end. Every read must agree bit for bit, and the log must hold
+// one run per parameter change.
+func TestLazyLoadsMatchEagerReference(t *testing.T) {
+	dts := []float64{0.01, 0.2, 1}
+	tods := []float64{0.4, 1, 1.9}
+	const steps = 800
+	for _, op := range []spectrum.Operator{spectrum.OpX, spectrum.OpZ} {
+		lazy := NewNetwork(op, mobility.Urban, rng.New(17))
+		eager := NewNetwork(op, mobility.Urban, rng.New(17))
+		sched := rng.New(23)
+		check := func(step, i int) {
+			t.Helper()
+			got, want := lazy.Cells[i].Load(), eager.Cells[i].Load()
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s cell %s after step %d: load %v, eager reference %v",
+					op, lazy.Cells[i].ID(), step, got, want)
+			}
+		}
+		for i := 2; i < len(lazy.Cells); i += 4 {
+			check(0, i)
+		}
+		dt, tod, runs := 0.0, 0.0, 0
+		for s := 1; s <= steps; s++ {
+			ndt, ntod := dt, tod
+			if s == 1 || sched.Bool(0.05) {
+				ndt = dts[sched.Intn(len(dts))]
+			}
+			if s == 1 || sched.Bool(0.05) {
+				ntod = tods[sched.Intn(len(tods))]
+			}
+			if ndt != dt || ntod != tod {
+				runs++
+			}
+			dt, tod = ndt, ntod
+			lazy.StepLoads(tod, dt)
+			refStepLoads(eager, tod, dt)
+			for i := range lazy.Cells {
+				switch i % 4 {
+				case 0:
+					check(s, i)
+				case 1, 2:
+					if sched.Bool(0.1) {
+						check(s, i)
+					}
+				}
+			}
+		}
+		for i := range lazy.Cells {
+			check(steps, i)
+		}
+		if len(lazy.loadLog) != runs || runs < 10 {
+			t.Fatalf("%s: %d log runs for %d parameter runs", op, len(lazy.loadLog), runs)
+		}
+	}
+}
+
+// TestEvaluationMeasurementsMatchUncached drives the engine over OpX and
+// OpZ urban at 10 ms, indoors and out, and after every RRC evaluation
+// measures each candidate again without the shared interference terms:
+// the engine's measurement must equal it bit for bit.
+func TestEvaluationMeasurementsMatchUncached(t *testing.T) {
+	for _, op := range []spectrum.Operator{spectrum.OpX, spectrum.OpZ} {
+		src := rng.New(61)
+		net := NewNetwork(op, mobility.Urban, src)
+		eng := NewEngine(net, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
+		ext := mobility.Urban.ExtentM()
+		mv := mobility.NewMover(mobility.Urban, mobility.Driving, mobility.Point{X: ext / 2, Y: ext / 2}, src)
+		evals, shared := 0, 0
+		for s := 0; s < 4000; s++ {
+			indoor := s/1000%2 == 1
+			moved := mv.Step(0.01)
+			net.StepLoads(1, 0.01)
+			gen := eng.gen
+			eng.Step(mv.Pos(), moved, 0.01, indoor)
+			if eng.gen == gen {
+				continue
+			}
+			evals++
+			p := mv.Pos()
+			terms, distinct := 0, map[*Cell]bool{}
+			for _, m := range eng.ms {
+				d := m.cell.Pos.Dist(p)
+				want := eng.links[m.cell.PCI].Evaluate(d, indoor, m.cell.CoChannelINR(p, indoor))
+				if math.Float64bits(m.rs.RSRPdBm) != math.Float64bits(want.RSRPdBm) ||
+					math.Float64bits(m.rs.RSRQdB) != math.Float64bits(want.RSRQdB) ||
+					math.Float64bits(m.rs.SINRdB) != math.Float64bits(want.SINRdB) {
+					t.Fatalf("%s step %d cell %s: measured %+v, uncached %+v", op, s, m.cell.ID(), m.rs, want)
+				}
+				for _, o := range m.cell.interferers {
+					if o.Pos.Dist(p) <= o.reachM {
+						terms++
+						distinct[o] = true
+					}
+				}
+			}
+			if terms > len(distinct) {
+				shared++
+			}
+		}
+		if evals < 100 || shared == 0 {
+			t.Fatalf("%s: %d evaluations, %d with a shared term", op, evals, shared)
+		}
+	}
+}
+
+// carrierBits returns the bits of every field of a carrier, unexported
+// ones included.
+func carrierBits(c phy.Carrier) []uint64 {
+	v := reflect.ValueOf(c)
+	out := make([]uint64, v.NumField())
+	for i := range out {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Float64:
+			out[i] = math.Float64bits(f.Float())
+		default:
+			out[i] = uint64(f.Int())
+		}
+	}
+	return out
+}
+
+// TestChannelCellsShareCarrier asserts that every cell holds the carrier
+// terms of its own channel and that all cells of a channel hold the same
+// bits, which is what lets one interference term serve every co-channel
+// sum it enters.
+func TestChannelCellsShareCarrier(t *testing.T) {
+	for _, op := range spectrum.AllOperators() {
+		for _, sc := range mobility.AllScenarios() {
+			n := NewNetwork(op, sc, rng.New(7))
+			for _, c := range n.Cells {
+				bits := carrierBits(c.carrier)
+				if want := carrierBits(phy.NewCarrier(c.Chan.CenterMHz/1000, c.Chan.SCSKHz)); !slices.Equal(bits, want) {
+					t.Fatalf("%s %s cell %s: carrier %v, channel's %v", op, sc, c.ID(), bits, want)
+				}
+				for _, o := range c.interferers {
+					if !slices.Equal(carrierBits(o.carrier), bits) {
+						t.Fatalf("%s %s: cells %s and %s of one channel hold different carriers", op, sc, c.ID(), o.ID())
+					}
+				}
 			}
 		}
 	}

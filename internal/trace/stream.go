@@ -135,76 +135,6 @@ func (s *JSONLSink) Close() error {
 	return s.err
 }
 
-// WindowSink feeds the slab-backed window machinery incrementally: each
-// emitted trace is windowed on arrival and the batch is handed to fn.
-// Every batch is carved from its own slab (identical layout to Windows),
-// so fn may retain it, and memory stays constant when it does not.
-// TraceIdx numbers traces in emission order, matching what Windows would
-// assign over the materialized dataset.
-type WindowSink struct {
-	sc   *Scaler
-	opts WindowOpts
-	fn   func([]Window) error
-	ti   int
-	err  error
-}
-
-// NewWindowSink creates a windowing sink; sc must already be fitted.
-func NewWindowSink(sc *Scaler, opts WindowOpts, fn func([]Window) error) *WindowSink {
-	if !sc.Fitted() {
-		panic("trace: scaler not fitted")
-	}
-	if opts.Stride <= 0 {
-		opts.Stride = 1
-	}
-	return &WindowSink{sc: sc, opts: opts, fn: fn}
-}
-
-// Emit implements Sink.
-func (s *WindowSink) Emit(tr Trace) error {
-	if s.err != nil {
-		return s.err
-	}
-	ti := s.ti
-	s.ti++
-	ws := windowsOfTrace(&tr, ti, s.sc, s.opts)
-	if len(ws) == 0 {
-		return nil
-	}
-	if err := s.fn(ws); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// Close implements Sink.
-func (s *WindowSink) Close() error { return s.err }
-
-// windowsOfTrace extracts every window of one trace onto a fresh slab —
-// the per-trace unit of Windows' dataset-wide pass.
-func windowsOfTrace(tr *Trace, ti int, sc *Scaler, opts WindowOpts) []Window {
-	span := opts.History + opts.Horizon
-	n := len(tr.Samples)
-	if n < span {
-		return nil
-	}
-	total := (n-span)/opts.Stride + 1
-	fPer, rPer, oPer := slabSizes(opts)
-	floats := make([]float64, total*fPer)
-	rows := make([][]float64, total*rPer)
-	outers := make([][][]float64, total*oPer)
-	out := make([]Window, 0, total)
-	for start := 0; start+span <= n; start += opts.Stride {
-		wi := len(out)
-		out = append(out, buildWindow(tr, ti, start, sc, opts,
-			floats[wi*fPer:(wi+1)*fPer],
-			rows[wi*rPer:(wi+1)*rPer],
-			outers[wi*oPer:(wi+1)*oPer]))
-	}
-	obs.Add("trace.windows_built", int64(len(out)))
-	return out
-}
-
 // TraceSource yields traces in a fixed order, restartably — the reading
 // half of the streaming pipeline (a spilled JSONL file, or a dataset
 // already in memory). Next returns io.EOF when exhausted; Reset rewinds

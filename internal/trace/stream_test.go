@@ -136,35 +136,6 @@ func TestJSONLSinkStickyError(t *testing.T) {
 	}
 }
 
-// TestWindowSinkMatchesWindows checks the incremental windowing sink
-// against the dataset-wide Windows pass: same windows, same order, same
-// TraceIdx numbering.
-func TestWindowSinkMatchesWindows(t *testing.T) {
-	d := synthDataset(3, 30)
-	d.Traces = append(d.Traces, synthTrace(5, 9, 0)) // too short: no windows
-	var sc Scaler
-	sc.Fit(d.Traces)
-	opts := WindowOpts{History: 10, Horizon: 3, Stride: 2}
-
-	want := Windows(d, &sc, opts)
-	var got []Window
-	sink := NewWindowSink(&sc, opts, func(ws []Window) error {
-		got = append(got, ws...)
-		return nil
-	})
-	for _, tr := range d.Traces {
-		if err := sink.Emit(tr); err != nil {
-			t.Fatalf("emit: %v", err)
-		}
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("window sink produced %d windows differing from Windows' %d", len(got), len(want))
-	}
-}
-
 // TestStreamWindowsMatchesWindows is the streaming-window equivalence law
 // at unit scope: StreamWindows over a source yields exactly Windows' output
 // regardless of chunk size, and Reset replays it for a second epoch.
