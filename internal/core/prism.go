@@ -71,9 +71,9 @@ func DefaultOptions() Options {
 	}
 }
 
-// rnnScratch holds one carrier slot's reusable backbone tape. Weight
-// sharing shares parameters, never tapes: every carrier records its own
-// forward pass.
+// rnnScratch holds one carrier slot's reusable backbone tape for the
+// backbones that run carrier by carrier (GRU, per-slot weights): every
+// carrier records its own forward pass.
 type rnnScratch struct {
 	lstm nn.LSTMTape
 	gru  nn.GRUTape
@@ -126,10 +126,12 @@ func (b gruBackbone) run(s *rnnScratch, seq [][]float64) ([]float64, func([]floa
 }
 
 // prismScratch bundles every reusable buffer of one forward/backward pass:
-// per-carrier backbone tapes, fusion and head MLP tapes, and a bump arena
-// for the glue vectors. Kept in a sync.Pool so concurrent Predict calls
-// (the serving path) each grab their own.
+// the shared LSTM's batch tape or the per-carrier backbone tapes, fusion
+// and head MLP tapes, and a bump arena for the glue vectors. Kept in a
+// sync.Pool so concurrent Predict calls (the serving path) each grab their
+// own.
 type prismScratch struct {
+	batch  nn.LSTMBatchTape
 	rnns   [trace.MaxCC]rnnScratch
 	ftape  nn.MLPTape
 	htapes [trace.MaxCC]nn.MLPTape
@@ -149,7 +151,7 @@ type Prism5G struct {
 	embed  *nn.Dense // mask (C*T) -> Hidden
 	fusion *nn.MLP   // (C*Hidden + Hidden) -> Hidden, θ2
 	head   *nn.MLP   // Hidden -> Horizon, shared θ3
-	histT  int       // history length inferred at first use (for embed)
+	histT  int       // history length T, fixed by New (embed reads C*T)
 
 	pool sync.Pool // *prismScratch
 }
@@ -189,6 +191,17 @@ func (p *Prism5G) rnnFor(c int) rnn {
 		return p.rnns[0]
 	}
 	return p.rnns[c]
+}
+
+// batched returns the LSTM every carrier shares (the paper's θ1, and the
+// default): one weight set over MaxCC sequences, which then run as one
+// batch. It is nil for the GRU backbone and for per-slot weights, whose
+// carriers run one by one.
+func (p *Prism5G) batched() *nn.LSTM {
+	if b, ok := p.rnns[0].(lstmBackbone); ok && len(p.rnns) == 1 {
+		return b.m
+	}
+	return nil
 }
 
 // NewNoState builds the Table 13 "No State" ablation: no mask gating, no
@@ -246,40 +259,56 @@ func gate(w trace.Window, c, t int) float64 {
 
 // forward runs the model on one window. It returns the aggregate prediction
 // and, when backprop is requested (gScale > 0), performs the full joint
-// backward pass including the auxiliary per-CC loss. All intermediates come
-// from pooled scratch; only the returned prediction is freshly allocated
-// (callers may hold or mutate it).
-func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
+// backward pass including the auxiliary per-CC loss. A non-nil perCC
+// receives each carrier head's forecast (MaxCC rows of Horizon values).
+// All intermediates come from pooled scratch; only the returned prediction
+// is freshly allocated (callers may hold or mutate it).
+func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []float64 {
 	C := trace.MaxCC
 	T := p.histT
 	H := p.Opts.Hidden
+	F := trace.NumCCFeatures
 	s := p.pool.Get().(*prismScratch)
 	s.ar.Reset()
 
-	// --- Per-CC inputs with state gating ---
+	// --- Per-CC inputs with state gating: a gated-off step reads zeros ---
 	maskFlat := s.ar.Floats(C * T)
-	seqs := s.ar.Rows(C * T) // C stacked T-row spines
 	for c := 0; c < C; c++ {
-		seq := seqs[c*T : (c+1)*T]
 		for t := 0; t < T; t++ {
-			g := 1.0
-			if p.Opts.UseState {
-				g = gate(w, c, t)
-			}
 			maskFlat[c*T+t] = gate(w, c, t)
-			if g == 1 {
-				seq[t] = w.X[c][t]
-			} else {
-				seq[t] = zeroFeat
-			}
 		}
 	}
+	gatedOff := func(c, t int) bool { return p.Opts.UseState && maskFlat[c*T+t] == 0 }
 
 	// --- Shared (or per-CC) RNN ---
 	hcs := s.ar.Rows(C)
 	var backs [trace.MaxCC]func([]float64)
-	for c := 0; c < C; c++ {
-		hcs[c], backs[c] = p.rnnFor(c).run(&s.rnns[c], seqs[c*T:(c+1)*T])
+	lstm := p.batched()
+	if lstm != nil {
+		// The carriers' sequences, stacked step-major, are one batch.
+		X := s.ar.Floats(T * C * F)
+		for t := 0; t < T; t++ {
+			for c := 0; c < C; c++ {
+				if !gatedOff(c, t) {
+					copy(X[(t*C+c)*F:(t*C+c+1)*F], w.X[c][t])
+				}
+			}
+		}
+		last := lstm.ForwardBatch(&s.batch, X, C, T)
+		for c := range hcs {
+			hcs[c] = last[c*H : (c+1)*H]
+		}
+	} else {
+		seq := s.ar.Rows(T)
+		for c := 0; c < C; c++ {
+			for t := range seq {
+				seq[t] = w.X[c][t]
+				if gatedOff(c, t) {
+					seq[t] = zeroFeat
+				}
+			}
+			hcs[c], backs[c] = p.rnnFor(c).run(&s.rnns[c], seq)
+		}
 	}
 
 	// --- Embedding + fusion ---
@@ -313,6 +342,9 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 		for h := 0; h < p.Opts.Horizon; h++ {
 			ypred[h] += ycs[c][h]
 		}
+		if perCC != nil {
+			copy(perCC[c], ycs[c])
+		}
 	}
 	if gScale <= 0 {
 		p.pool.Put(s)
@@ -324,7 +356,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 	// per-CC loss adds a direct term.
 	gAgg := nn.MSEGradInto(s.ar.Floats(p.Opts.Horizon), ypred, w.Y)
 	ghf := s.ar.Floats(H)
-	ghcs := s.ar.Rows(C)
+	ghLast := s.ar.Floats(C * H) // dL/dh_c, carrier after carrier
 	gyc := s.ar.Floats(p.Opts.Horizon)
 	gaux := s.ar.Floats(p.Opts.Horizon)
 	for c := 0; c < C; c++ {
@@ -338,25 +370,27 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 			}
 		}
 		ghp := p.head.Backward(&s.htapes[c], gyc)
-		ghcs[c] = ghp
+		copy(ghLast[c*H:(c+1)*H], ghp)
 		for i := 0; i < H; i++ {
 			ghf[i] += ghp[i]
 		}
 	}
 	if p.Opts.UseFusion {
 		gfin := p.fusion.Backward(&s.ftape, ghf)
-		for c := 0; c < C; c++ {
-			for i := 0; i < H; i++ {
-				ghcs[c][i] += gfin[c*H+i]
-			}
+		for i := 0; i < C*H; i++ {
+			ghLast[i] += gfin[i]
 		}
 		if p.Opts.UseState {
 			gemb := gfin[C*H : C*H+H]
 			p.embed.BackwardInto(s.ar.Floats(C*T), maskFlat, gemb)
 		}
 	}
-	for c := 0; c < C; c++ {
-		backs[c](ghcs[c])
+	if lstm != nil {
+		lstm.BackwardBatch(&s.batch, ghLast)
+	} else {
+		for c := 0; c < C; c++ {
+			backs[c](ghLast[c*H : (c+1)*H])
+		}
 	}
 	p.pool.Put(s)
 	return ypred
@@ -364,7 +398,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64) []float64 {
 
 // ForwardBackward implements predictors.SeqModel.
 func (p *Prism5G) ForwardBackward(w trace.Window, gScale float64) []float64 {
-	return p.forward(w, gScale)
+	return p.forward(w, gScale, nil)
 }
 
 // Train implements predictors.Predictor.
@@ -374,56 +408,17 @@ func (p *Prism5G) Train(train, val []trace.Window) predictors.TrainReport {
 
 // Predict implements predictors.Predictor.
 func (p *Prism5G) Predict(w trace.Window) []float64 {
-	return p.forward(w, 0)
+	return p.forward(w, 0, nil)
 }
 
 // PredictPerCC returns the per-carrier horizon forecasts (scaled), the
-// decomposition shown in the paper's Fig 33/34.
+// decomposition shown in the paper's Fig 33/34. Their sum, carrier by
+// carrier from zero, is Predict's aggregate.
 func (p *Prism5G) PredictPerCC(w trace.Window) [][]float64 {
-	C := trace.MaxCC
-	T := p.histT
-	H := p.Opts.Hidden
-	out := make([][]float64, C)
-	s := p.pool.Get().(*prismScratch)
-	s.ar.Reset()
-	// Re-run forward capturing per-CC heads (duplicated on purpose: the
-	// hot path in forward stays allocation-lean).
-	seq := s.ar.Rows(T)
-	hcs := s.ar.Rows(C)
-	maskFlat := s.ar.Floats(C * T)
-	for c := 0; c < C; c++ {
-		for t := 0; t < T; t++ {
-			g := 1.0
-			if p.Opts.UseState {
-				g = gate(w, c, t)
-			}
-			maskFlat[c*T+t] = gate(w, c, t)
-			if g == 1 {
-				seq[t] = w.X[c][t]
-			} else {
-				seq[t] = zeroFeat
-			}
-		}
-		hcs[c], _ = p.rnnFor(c).run(&s.rnns[c], seq)
+	out := make([][]float64, trace.MaxCC)
+	for c := range out {
+		out[c] = make([]float64, p.Opts.Horizon)
 	}
-	hf := s.ar.Floats(H)
-	if p.Opts.UseFusion {
-		fin := s.ar.Floats(C*H + H)
-		for c := 0; c < C; c++ {
-			copy(fin[c*H:(c+1)*H], hcs[c])
-		}
-		if p.Opts.UseState {
-			copy(fin[C*H:], p.embed.ForwardInto(s.ar.Floats(H), maskFlat))
-		}
-		hf = p.fusion.ForwardTape(&s.ftape, fin)
-	}
-	hp := s.ar.Floats(H)
-	for c := 0; c < C; c++ {
-		for i := 0; i < H; i++ {
-			hp[i] = hcs[c][i] + hf[i]
-		}
-		out[c] = append([]float64(nil), p.head.ForwardTape(&s.htapes[c], hp)...)
-	}
-	p.pool.Put(s)
+	p.forward(w, 0, out)
 	return out
 }

@@ -83,15 +83,16 @@ func TestPrismForwardShapeAndDeterminism(t *testing.T) {
 			t.Fatal("non-finite prediction")
 		}
 	}
-	// Aggregate equals the sum of per-CC heads.
+	// Aggregate equals the sum of per-CC heads, bit for bit: both come
+	// from one forward pass and are summed in the same order.
 	per := p.PredictPerCC(w)
 	for h := 0; h < 10; h++ {
 		sum := 0.0
 		for c := 0; c < trace.MaxCC; c++ {
 			sum += per[c][h]
 		}
-		if math.Abs(sum-y1[h]) > 1e-9 {
-			t.Fatalf("per-CC sum %.6f != aggregate %.6f at step %d", sum, y1[h], h)
+		if math.Float64bits(sum) != math.Float64bits(y1[h]) {
+			t.Fatalf("per-CC sum %v != aggregate %v at step %d", sum, y1[h], h)
 		}
 	}
 }
@@ -101,7 +102,7 @@ func TestPrismGradients(t *testing.T) {
 	p := New(smallOpts(), 10)
 	w := synthWindow(2)
 	loss := func() float64 {
-		y := p.forward(w, 0)
+		y := p.forward(w, 0, nil)
 		l := nn.MSE(y, w.Y)
 		if p.Opts.PerCCLossWeight > 0 {
 			per := p.PredictPerCC(w)
@@ -114,7 +115,7 @@ func TestPrismGradients(t *testing.T) {
 		return l
 	}
 	nn.ZeroGrads(p)
-	p.forward(w, 1)
+	p.forward(w, 1, nil)
 	const eps = 1e-5
 	for _, prm := range p.Params() {
 		stride := prm.Size() / 12
@@ -276,13 +277,13 @@ func TestPrismGRUBackbone(t *testing.T) {
 	}
 	// The GRU variant must also pass the full-model gradient check.
 	loss := func() float64 {
-		yv := p.forward(w, 0)
+		yv := p.forward(w, 0, nil)
 		return nn.MSE(yv, w.Y)
 	}
 	save := p.Opts.PerCCLossWeight
 	p.Opts.PerCCLossWeight = 0
 	nn.ZeroGrads(p)
-	p.forward(w, 1)
+	p.forward(w, 1, nil)
 	const eps = 1e-5
 	for _, prm := range p.Params() {
 		stride := prm.Size() / 8

@@ -21,17 +21,19 @@ const rowTile = 4
 // MatMulNT computes Y = X * Wᵀ + bias: Y[i*m+o] = bias[o] + Σ_j
 // X[i*k+j]*W[o*k+j]. A nil bias means zero. Y must hold n*m values.
 func MatMulNT(Y, X []float64, n int, W []float64, m, k int, bias []float64) {
-	gemmNT(Y, X, n, W, m, k, bias, false)
+	gemmNT(Y, X, n, W, m, k, bias, false, 0)
 }
 
 // MatMulAccNT accumulates Y += X * Wᵀ, continuing each Y element's
 // existing accumulation chain in ascending-j order.
 func MatMulAccNT(Y, X []float64, n int, W []float64, m, k int) {
-	gemmNT(Y, X, n, W, m, k, nil, true)
+	gemmNT(Y, X, n, W, m, k, nil, true, 0)
 }
 
-func gemmNT(Y, X []float64, n int, W []float64, m, k int, bias []float64, acc bool) {
-	var o int
+// gemmNT computes output rows from..m-1 of MatMulNT (acc false) or
+// MatMulAccNT (acc true), leaving the other rows of Y untouched.
+func gemmNT(Y, X []float64, n int, W []float64, m, k int, bias []float64, acc bool, from int) {
+	o := from
 	for ; o+rowTile <= m; o += rowTile {
 		r0 := W[o*k : (o+1)*k]
 		r1 := W[(o+1)*k : (o+2)*k]

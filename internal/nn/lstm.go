@@ -63,13 +63,16 @@ func (l *LSTM) ForwardFrom(seq [][]float64, h0, c0 []float64) ([][]float64, *LST
 
 // ForwardTape is ForwardFrom recording into a reusable caller-owned tape.
 // The returned hidden-state sequence is a view into the tape, valid until
-// its next use. The gate preactivations are computed with the batched
-// kernels, whose per-element accumulation order matches the scalar loop
-// bit for bit.
+// its next use. The gate preactivations are computed with the packed
+// kernel (kernel.go), whose per-element accumulation order matches the
+// scalar loop bit for bit. Wx and Wh are packed into the tape on every
+// call, so the parameters stay the only copy an optimizer step updates.
 func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]float64 {
 	H := l.Hidden
 	T := len(seq)
 	t.ar.Reset()
+	wx := packNT(&t.ar, l.Wx.W, 4*H, l.In)
+	wh := packNT(&t.ar, l.Wh.W, 4*H, H)
 	if h0 == nil {
 		h0 = t.ar.Floats(H)
 	}
@@ -89,8 +92,8 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 	hPrev, cPrev := h0, c0
 	for ti, x := range seq {
 		// z[gate*H+h] = b + Wx·x + Wh·hPrev, each dot in ascending order.
-		MatMulNT(z, x, 1, l.Wx.W, 4*H, l.In, l.B.W)
-		MatMulAccNT(z, hPrev, 1, l.Wh.W, 4*H, H)
+		wx.mul(z, x, 1, l.B.W, false)
+		wh.mul(z, hPrev, 1, nil, true)
 		iv, fv, gv, ov := t.i[ti], t.f[ti], t.g[ti], t.o[ti]
 		cv, hv, tc := t.c[ti], t.h[ti], t.tanhC[ti]
 		for h := 0; h < H; h++ {

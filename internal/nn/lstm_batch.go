@@ -22,6 +22,7 @@ type LSTMBatchTape struct {
 // all starting from zero state. X is step-major flat: step ti, sample s is
 // X[(ti*b+s)*In : +In]. X must stay valid until BackwardBatch. It returns
 // the final hidden states as one flat b*H block (a view into the tape).
+// Wx and Wh are packed once per call, as in ForwardTape.
 //
 // Per sample the computation — and every float64 accumulation chain — is
 // identical to ForwardTape on that sample alone; batching only changes how
@@ -30,6 +31,8 @@ func (l *LSTM) ForwardBatch(t *LSTMBatchTape, X []float64, b, T int) []float64 {
 	H := l.Hidden
 	t.batch, t.in, t.xs = b, l.In, X
 	t.ar.Reset()
+	wx := packNT(&t.ar, l.Wx.W, 4*H, l.In)
+	wh := packNT(&t.ar, l.Wh.W, 4*H, H)
 	t.i = t.ar.Matrix(T, b*H)
 	t.f = t.ar.Matrix(T, b*H)
 	t.g = t.ar.Matrix(T, b*H)
@@ -42,8 +45,8 @@ func (l *LSTM) ForwardBatch(t *LSTMBatchTape, X []float64, b, T int) []float64 {
 	Z := t.ar.Floats(b * 4 * H) // preactivations, overwritten per step
 	hPrev, cPrev := t.hPrev, t.cPrev
 	for ti := 0; ti < T; ti++ {
-		MatMulNT(Z, X[ti*b*l.In:(ti+1)*b*l.In], b, l.Wx.W, 4*H, l.In, l.B.W)
-		MatMulAccNT(Z, hPrev, b, l.Wh.W, 4*H, H)
+		wx.mul(Z, X[ti*b*l.In:(ti+1)*b*l.In], b, l.B.W, false)
+		wh.mul(Z, hPrev, b, nil, true)
 		iv, fv, gv, ov := t.i[ti], t.f[ti], t.g[ti], t.o[ti]
 		cv, hv, tc := t.c[ti], t.h[ti], t.tanhC[ti]
 		for s := 0; s < b; s++ {
