@@ -58,7 +58,8 @@ func (g *GRU) Forward(seq [][]float64) ([][]float64, *GRUTape) {
 // returned hidden-state sequence is a view into the tape, valid until its
 // next use. The z/r gate preactivations use the batched kernels; the n
 // candidate keeps Uh_n·hPrev as a separate dot (needed exactly in
-// backward), so its accumulation chain is unchanged too.
+// backward), so its accumulation chain is unchanged too. The gates run
+// through the gate kernel (gate.go), bit-identical to Sigmoid and Tanh.
 func (g *GRU) ForwardTape(t *GRUTape, seq [][]float64) [][]float64 {
 	H := g.Hidden
 	T := len(seq)
@@ -80,10 +81,13 @@ func (g *GRU) ForwardTape(t *GRUTape, seq [][]float64) [][]float64 {
 		uh := t.uhn[ti]
 		MatMulNT(uh, hPrev, 1, g.Wh.W[2*H*H:], H, H, nil)
 		zv, rv, nv, hv := t.z[ti], t.r[ti], t.n[ti], t.h[ti]
-		for h := 0; h < H; h++ {
-			zv[h] = Sigmoid(a[h])
-			rv[h] = Sigmoid(a[H+h])
-			nv[h] = Tanh(a[2*H+h] + rv[h]*uh[h])
+		sigmoids(zv, a[:H])
+		sigmoids(rv, a[H:2*H])
+		for h := range nv {
+			nv[h] = a[2*H+h] + rv[h]*uh[h]
+		}
+		tanhs(nv, nv)
+		for h := range hv {
 			hv[h] = (1-zv[h])*nv[h] + zv[h]*hPrev[h]
 		}
 		t.xs[ti] = x

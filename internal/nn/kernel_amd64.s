@@ -66,12 +66,14 @@ store:
 done:
 	RET
 
-// func cpuid1ECX() uint32
-TEXT ·cpuid1ECX(SB), NOSPLIT, $0-4
-	MOVL $1, AX
+// func cpuid(leaf uint32) (eax, ebx, ecx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-20
+	MOVL leaf+0(FP), AX
 	XORL CX, CX
 	CPUID
-	MOVL CX, ret+0(FP)
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
 	RET
 
 // func xgetbv0() uint32

@@ -22,13 +22,13 @@ func kernelValue(src *rng.Source) float64 {
 	}
 }
 
-// withAVX runs f with the kernel choice set to on, restoring it after.
-func withAVX(t *testing.T, on bool, f func(t *testing.T)) {
-	t.Helper()
-	saved := useAVX
-	useAVX = on
-	defer func() { useAVX = saved }()
-	f(t)
+// withKernels runs f with the packed and the gate kernel choices set to
+// avx and gate, restoring both after.
+func withKernels(avx, gate bool, f func()) {
+	savedAVX, savedGate := useAVX, useGateAVX
+	useAVX, useGateAVX = avx, gate
+	defer func() { useAVX, useGateAVX = savedAVX, savedGate }()
+	f()
 }
 
 // TestPackedKernelMatchesScalar compares the packed kernel with the scalar
@@ -83,17 +83,21 @@ func TestPackedKernelMatchesScalar(t *testing.T) {
 		t.Log("CPU has no AVX: only the scalar path runs")
 	}
 	t.Run("cpu", check)
-	t.Run("scalar", func(t *testing.T) { withAVX(t, false, check) })
+	t.Run("scalar", func(t *testing.T) { withKernels(false, useGateAVX, func() { check(t) }) })
 }
 
-// TestLSTMPackedMatchesScalar runs ForwardTape and ForwardBatch with the
-// kernel the CPU selects and with the scalar path, at a width with a
-// scalar tail (Hidden 6: one block plus 8 rows) and at a whole number of
-// blocks (Hidden 32), and requires equal bits.
+// TestLSTMPackedMatchesScalar runs LSTM.ForwardTape, LSTM.ForwardBatch and
+// GRU.ForwardTape with the packed and the gate kernels each on (as the CPU
+// selects them) and off, at a width with a scalar tail (Hidden 6: one
+// 16-row block plus 8 rows, and one 4-lane gate group plus 2) and at a
+// whole number of blocks and groups (Hidden 32), and requires the bits of
+// the run with both off.
 func TestLSTMPackedMatchesScalar(t *testing.T) {
 	const in, T, b = 13, 10, 4
+	cpuAVX, cpuGate := useAVX, useGateAVX
 	for _, hid := range []int{6, 32} {
 		l := NewLSTM("l", in, hid, rng.New(uint64(hid)))
+		g := NewGRU("g", in, hid, rng.New(uint64(hid)+1))
 		src := rng.New(9)
 		X := make([]float64, T*b*in)
 		for i := range X {
@@ -103,21 +107,33 @@ func TestLSTMPackedMatchesScalar(t *testing.T) {
 		for ti := range seq {
 			seq[ti] = X[ti*b*in : ti*b*in+in]
 		}
-		run := func() (hs, last []float64) {
-			var tape LSTMTape
-			for _, h := range l.ForwardTape(&tape, seq, nil, nil) {
-				hs = append(hs, h...)
+		run := func() map[string][]float64 {
+			out := map[string][]float64{}
+			var lt LSTMTape
+			for _, h := range l.ForwardTape(&lt, seq, nil, nil) {
+				out["LSTM.ForwardTape"] = append(out["LSTM.ForwardTape"], h...)
 			}
 			var bt LSTMBatchTape
-			return hs, append([]float64(nil), l.ForwardBatch(&bt, X, b, T)...)
+			out["LSTM.ForwardBatch"] = append([]float64(nil), l.ForwardBatch(&bt, X, b, T)...)
+			var gt GRUTape
+			for _, h := range g.ForwardTape(&gt, seq) {
+				out["GRU.ForwardTape"] = append(out["GRU.ForwardTape"], h...)
+			}
+			return out
 		}
-		hs, last := run()
-		var hs0, last0 []float64
-		withAVX(t, false, func(*testing.T) { hs0, last0 = run() })
-		for name, pair := range map[string][2][]float64{"ForwardTape": {hs, hs0}, "ForwardBatch": {last, last0}} {
-			for i := range pair[0] {
-				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-					t.Fatalf("Hidden %d %s[%d]: %v with the CPU's kernel, %v scalar", hid, name, i, pair[0][i], pair[1][i])
+		var want map[string][]float64
+		withKernels(false, false, func() { want = run() })
+		for _, avx := range []bool{false, true} {
+			for _, gate := range []bool{false, true} {
+				var got map[string][]float64
+				withKernels(avx && cpuAVX, gate && cpuGate, func() { got = run() })
+				for name, w := range want {
+					for i := range w {
+						if math.Float64bits(got[name][i]) != math.Float64bits(w[i]) {
+							t.Fatalf("Hidden %d %s[%d] with packed kernel %v, gate kernel %v: %v, scalar %v",
+								hid, name, i, avx && cpuAVX, gate && cpuGate, got[name][i], w[i])
+						}
+					}
 				}
 			}
 		}

@@ -65,8 +65,10 @@ func (l *LSTM) ForwardFrom(seq [][]float64, h0, c0 []float64) ([][]float64, *LST
 // The returned hidden-state sequence is a view into the tape, valid until
 // its next use. The gate preactivations are computed with the packed
 // kernel (kernel.go), whose per-element accumulation order matches the
-// scalar loop bit for bit. Wx and Wh are packed into the tape on every
-// call, so the parameters stay the only copy an optimizer step updates.
+// scalar loop bit for bit, and the gates with the gate kernel (gate.go),
+// which matches Sigmoid and Tanh bit for bit. Wx and Wh are packed into
+// the tape on every call, so the parameters stay the only copy an
+// optimizer step updates.
 func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]float64 {
 	H := l.Hidden
 	T := len(seq)
@@ -94,22 +96,31 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 		// z[gate*H+h] = b + Wx·x + Wh·hPrev, each dot in ascending order.
 		wx.mul(z, x, 1, l.B.W, false)
 		wh.mul(z, hPrev, 1, nil, true)
-		iv, fv, gv, ov := t.i[ti], t.f[ti], t.g[ti], t.o[ti]
-		cv, hv, tc := t.c[ti], t.h[ti], t.tanhC[ti]
-		for h := 0; h < H; h++ {
-			iv[h] = Sigmoid(z[h])
-			fv[h] = Sigmoid(z[H+h])
-			gv[h] = Tanh(z[2*H+h])
-			ov[h] = Sigmoid(z[3*H+h])
-			cv[h] = fv[h]*cPrev[h] + iv[h]*gv[h]
-			tc[h] = Tanh(cv[h])
-			hv[h] = ov[h] * tc[h]
-		}
+		cellStep(z, cPrev, t.i[ti], t.f[ti], t.g[ti], t.o[ti], t.c[ti], t.tanhC[ti], t.h[ti])
 		t.xs[ti] = x
-		hPrev, cPrev = hv, cv
+		hPrev, cPrev = t.h[ti], t.c[ti]
 	}
 	t.mark = t.ar.Mark()
 	return t.h
+}
+
+// cellStep is one sample's LSTM cell update: from the gate preactivations
+// z (the i, f, g and o blocks, H each) and the previous cell state, it
+// fills the gate activations i, f, g, o, the cell state c, tanh(c) and
+// the hidden state h. ForwardTape and ForwardBatch both run it.
+func cellStep(z, cPrev, i, f, g, o, c, tc, h []float64) {
+	H := len(c)
+	sigmoids(i, z[:H])
+	sigmoids(f, z[H:2*H])
+	tanhs(g, z[2*H:3*H])
+	sigmoids(o, z[3*H:4*H])
+	for k := range c {
+		c[k] = f[k]*cPrev[k] + i[k]*g[k]
+	}
+	tanhs(tc, c)
+	for k := range h {
+		h[k] = o[k] * tc[k]
+	}
 }
 
 // Backward runs BPTT. gh is the gradient of the loss with respect to each

@@ -47,22 +47,12 @@ func (l *LSTM) ForwardBatch(t *LSTMBatchTape, X []float64, b, T int) []float64 {
 	for ti := 0; ti < T; ti++ {
 		wx.mul(Z, X[ti*b*l.In:(ti+1)*b*l.In], b, l.B.W, false)
 		wh.mul(Z, hPrev, b, nil, true)
-		iv, fv, gv, ov := t.i[ti], t.f[ti], t.g[ti], t.o[ti]
-		cv, hv, tc := t.c[ti], t.h[ti], t.tanhC[ti]
 		for s := 0; s < b; s++ {
-			z := Z[s*4*H : (s+1)*4*H]
-			for h := s * H; h < (s+1)*H; h++ {
-				zh := h - s*H
-				iv[h] = Sigmoid(z[zh])
-				fv[h] = Sigmoid(z[H+zh])
-				gv[h] = Tanh(z[2*H+zh])
-				ov[h] = Sigmoid(z[3*H+zh])
-				cv[h] = fv[h]*cPrev[h] + iv[h]*gv[h]
-				tc[h] = Tanh(cv[h])
-				hv[h] = ov[h] * tc[h]
-			}
+			lo, hi := s*H, (s+1)*H
+			cellStep(Z[4*lo:4*hi], cPrev[lo:hi], t.i[ti][lo:hi], t.f[ti][lo:hi], t.g[ti][lo:hi],
+				t.o[ti][lo:hi], t.c[ti][lo:hi], t.tanhC[ti][lo:hi], t.h[ti][lo:hi])
 		}
-		hPrev, cPrev = hv, cv
+		hPrev, cPrev = t.h[ti], t.c[ti]
 	}
 	t.mark = t.ar.Mark()
 	return hPrev
