@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 
 	"prism5g/internal/faults"
@@ -62,38 +63,54 @@ type PredictCellResult struct {
 }
 
 // PredictCell trains and evaluates one model on one sub-dataset under the
-// cell's axes. Clean cells (severity 0) follow the Table 4 protocol —
-// BuildProblem, train, Evaluate — so at zero axes the RMSE is bit-identical
-// to the model's Table4Cell column (models train independently, so a
-// one-model cell equals its slice of the TrainAll batch). Degraded cells
-// follow the RobustnessSweep row protocol: validate-and-repair ingest,
-// window filtering, resilient training, skip-aware evaluation.
+// cell's axes through runCell. At zero axes the RMSE is bit-identical to
+// the model's Table4Cell column (models train independently, so a
+// one-model cell equals its slice of the TrainAll batch).
 func PredictCell(spec sim.SubDatasetSpec, model string, cfg MLConfig, ax CellAxes) PredictCellResult {
 	defer obs.StartSpan("experiments.PredictCell").End()
-	res := PredictCellResult{Dataset: spec.Name(), Model: model}
-	if ax.Severity <= 0 {
-		ds := sim.Build(spec, ax.buildOpts(cfg))
-		prob := prepareProblem(spec, ds, cfg)
-		m := buildModel(model, prob, cfg)
-		m.Train(prob.Train, prob.Val)
-		res.RMSE = predictors.Evaluate(m, prob.Test)
-		return res
-	}
+	res, _ := runCell(spec, []string{model}, cfg, ax)
+	return res[0]
+}
+
+// runCell is the one experiment cell behind Table4Cell, PredictCell,
+// RobustnessSweep and Table13Ablation: it builds the campaign under the
+// axes, windows and splits it, trains the models through TrainAll on the
+// valid train/val windows and scores each on the test split with
+// EvaluateSkipping. Degraded cells (severity > 0) also run the
+// validate-and-repair ingest and wrap every model in Resilient. It returns
+// one result and one training report per model, in model order.
+func runCell(spec sim.SubDatasetSpec, models []string, cfg MLConfig, ax CellAxes) ([]PredictCellResult, []predictors.TrainReport) {
 	ds, faultRep := sim.BuildReport(spec, ax.buildOpts(cfg))
-	_, repairRep := ds.ValidateAndRepair(trace.DefaultRepairOpts())
+	repaired := 0
+	if ax.Severity > 0 {
+		_, rep := ds.ValidateAndRepair(trace.DefaultRepairOpts())
+		repaired = rep.Total()
+	}
 	prob := prepareProblem(spec, ds, cfg)
-	validTrain, skipTrain := predictors.FilterValid(prob.Train)
-	validVal, skipVal := predictors.FilterValid(prob.Val)
-	m := predictors.NewResilient(buildModel(model, prob, cfg), 10)
-	rep := m.Train(validTrain, validVal)
-	rmse, _ := predictors.EvaluateSkipping(m, prob.Test)
-	res.RMSE = rmse
-	res.Injected = faultRep.Total()
-	res.Repaired = repairRep.Total()
-	res.SkippedWindows = skipTrain + skipVal
-	res.Retries = rep.Retries
-	res.Fallback = rep.Fallback || m.Demoted()
-	return res
+	train, skipTrain := predictors.FilterValid(prob.Train)
+	val, skipVal := predictors.FilterValid(prob.Val)
+	built := make([]predictors.Predictor, len(models))
+	for i, name := range models {
+		built[i] = buildModel(name, prob, cfg)
+		if ax.Severity > 0 {
+			built[i] = predictors.NewResilient(built[i], 10)
+		}
+	}
+	reps, err := predictors.TrainAll(context.Background(), built, train, val, cfg.Workers)
+	if err != nil {
+		panic(err) // a training crash aborted the run, as in the serial path
+	}
+	res := make([]PredictCellResult, len(models))
+	for i, name := range models {
+		rmse, _ := predictors.EvaluateSkipping(built[i], prob.Test)
+		res[i] = PredictCellResult{
+			Dataset: spec.Name(), Model: name, RMSE: rmse,
+			Injected: faultRep.Total(), Repaired: repaired,
+			SkippedWindows: skipTrain + skipVal,
+			Retries:        reps[i].Retries, Fallback: reps[i].Fallback,
+		}
+	}
+	return res, reps
 }
 
 // prepareProblem runs the scaling/windowing/split pipeline every learning

@@ -13,7 +13,6 @@ import (
 	"prism5g/internal/obs"
 	"prism5g/internal/par"
 	"prism5g/internal/predictors"
-	"prism5g/internal/ran"
 	"prism5g/internal/sim"
 	"prism5g/internal/trace"
 )
@@ -81,11 +80,7 @@ type Problem struct {
 
 // BuildProblem generates and prepares one sub-dataset.
 func BuildProblem(spec sim.SubDatasetSpec, cfg MLConfig) *Problem {
-	ds := sim.Build(spec, sim.BuildOpts{
-		Traces: cfg.Traces, SamplesPerTrace: cfg.SamplesPerTrace,
-		Seed: cfg.Seed, Modem: ran.ModemX70, Workers: cfg.Workers,
-	})
-	return prepareProblem(spec, ds, cfg)
+	return prepareProblem(spec, sim.Build(spec, CellAxes{}.buildOpts(cfg)), cfg)
 }
 
 // KnownModels lists every Table 4 column name buildModel accepts.
@@ -163,29 +158,16 @@ type CellResult struct {
 	Epochs    int
 }
 
-// Table4Cell trains and evaluates the configured models on one sub-dataset.
-// The models are independent given the shared (read-only) problem, so they
-// train concurrently behind predictors.TrainAll; results keep model order.
+// Table4Cell trains and evaluates the configured models on one sub-dataset
+// through runCell at zero axes; the models train concurrently and results
+// keep model order.
 func Table4Cell(spec sim.SubDatasetSpec, cfg MLConfig) []CellResult {
 	defer obs.StartSpan("experiments.Table4Cell").End()
-	prob := BuildProblem(spec, cfg)
-	names := cfg.modelNames()
-	models := make([]predictors.Predictor, len(names))
-	for i, name := range names {
-		models[i] = buildModel(name, prob, cfg)
-	}
-	reps, err := predictors.TrainAll(context.Background(), models, prob.Train, prob.Val, cfg.Workers)
-	if err != nil {
-		panic(err) // a training crash aborted the run, as in the serial path
-	}
-	out := make([]CellResult, 0, len(names))
-	for i, name := range names {
-		out = append(out, CellResult{
-			Dataset: spec.Name(), Model: name,
-			RMSE:      predictors.Evaluate(models[i], prob.Test),
-			TrainTime: reps[i].Duration,
-			Epochs:    reps[i].Epochs,
-		})
+	res, reps := runCell(spec, cfg.modelNames(), cfg, CellAxes{})
+	out := make([]CellResult, len(res))
+	for i, r := range res {
+		out[i] = CellResult{Dataset: r.Dataset, Model: r.Model, RMSE: r.RMSE,
+			TrainTime: reps[i].Duration, Epochs: reps[i].Epochs}
 	}
 	return out
 }
@@ -285,23 +267,12 @@ type AblationResult struct {
 	Full, NoState, NoFusion float64
 }
 
-// Table13Ablation reproduces Table 13 on one sub-dataset; the three model
-// variants train concurrently.
+// Table13Ablation reproduces Table 13 on one sub-dataset through runCell;
+// the three model variants train concurrently.
 func Table13Ablation(spec sim.SubDatasetSpec, cfg MLConfig) AblationResult {
 	defer obs.StartSpan("experiments.Table13Ablation").End()
-	prob := BuildProblem(spec, cfg)
-	names := []string{"Prism5G", "Prism5G-NoState", "Prism5G-NoFusion"}
-	rmses := par.MustMap(context.Background(), len(names), cfg.Workers, func(i int) float64 {
-		m := buildModel(names[i], prob, cfg)
-		m.Train(prob.Train, prob.Val)
-		return predictors.Evaluate(m, prob.Test)
-	})
-	return AblationResult{
-		Dataset:  spec.Name(),
-		Full:     rmses[0],
-		NoState:  rmses[1],
-		NoFusion: rmses[2],
-	}
+	res, _ := runCell(spec, []string{"Prism5G", "Prism5G-NoState", "Prism5G-NoFusion"}, cfg, CellAxes{})
+	return AblationResult{Dataset: spec.Name(), Full: res[0].RMSE, NoState: res[1].RMSE, NoFusion: res[2].RMSE}
 }
 
 // GeneralizabilityResult is Table 14: trace-level splits.

@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"strings"
 
-	"prism5g/internal/faults"
 	"prism5g/internal/obs"
 	"prism5g/internal/par"
-	"prism5g/internal/predictors"
-	"prism5g/internal/ran"
-	"prism5g/internal/rng"
 	"prism5g/internal/sim"
-	"prism5g/internal/trace"
 )
 
 // RobustnessCell is one (severity, model) outcome of the sweep.
@@ -105,12 +100,11 @@ func robustnessModels(cfg MLConfig) []string {
 }
 
 // RobustnessSweep measures prediction-accuracy degradation under
-// increasing fault severity. For each severity it generates the SAME
-// campaign (same seed) degraded by PlanAtSeverity, runs the
-// validate-and-repair ingest, trains each model inside the resilient
-// wrapper and reports pooled test RMSE plus every resilience counter. At
-// severity 0 the sweep reduces to the clean Table 4 protocol, so the first
-// row doubles as the regression anchor.
+// increasing fault severity. Each severity is one runCell over the SAME
+// campaign (same seed) degraded by PlanAtSeverity: validate-and-repair
+// ingest, resilient training, pooled test RMSE plus every resilience
+// counter. The severity-0 row is the clean Table 4 protocol itself, so it
+// doubles as the regression anchor.
 //
 // Severity rows are independent — each derives its campaign and training
 // randomness from cfg.Seed alone — so they run concurrently on a pool
@@ -122,48 +116,17 @@ func RobustnessSweep(spec sim.SubDatasetSpec, severities []float64, cfg MLConfig
 	if len(severities) == 0 {
 		severities = DefaultSeverities()
 	}
-	res := &RobustnessResult{
-		Dataset:    spec.Name(),
-		Severities: severities,
-		Models:     robustnessModels(cfg),
-	}
+	models := robustnessModels(cfg)
+	res := &RobustnessResult{Dataset: spec.Name(), Severities: severities, Models: models}
 	rows := par.MustMap(context.Background(), len(severities), cfg.Workers, func(i int) []RobustnessCell {
-		sev := severities[i]
-		var plan *faults.FaultPlan
-		if sev > 0 {
-			p := faults.PlanAtSeverity(sev)
-			plan = &p
-		}
-		ds, faultRep := sim.BuildReport(spec, sim.BuildOpts{
-			Traces: cfg.Traces, SamplesPerTrace: cfg.SamplesPerTrace,
-			Seed: cfg.Seed, Modem: ran.ModemX70, Faults: plan, Workers: cfg.Workers,
-		})
-		_, repairRep := ds.ValidateAndRepair(trace.DefaultRepairOpts())
-
-		sc := &trace.Scaler{}
-		sc.Fit(ds.Traces)
-		ws := trace.Windows(ds, sc, trace.WindowOpts{History: 10, Horizon: 10, Stride: cfg.Stride})
-		train, val, test := trace.Split(ws, 0.5, 0.2, rng.New(cfg.Seed^0x5b1d))
-		prob := &Problem{Spec: spec, Dataset: ds, Scaler: sc, Windows: ws, Train: train, Val: val, Test: test}
-
-		validTrain, skipTrain := predictors.FilterValid(train)
-		validVal, skipVal := predictors.FilterValid(val)
-
-		cells := make([]RobustnessCell, 0, len(res.Models))
-		for _, name := range res.Models {
-			m := predictors.NewResilient(buildModel(name, prob, cfg), 10)
-			rep := m.Train(validTrain, validVal)
-			rmse, _ := predictors.EvaluateSkipping(m, test)
-			cells = append(cells, RobustnessCell{
-				Severity:       sev,
-				Model:          name,
-				RMSE:           rmse,
-				Injected:       faultRep.Total(),
-				Repaired:       repairRep.Total(),
-				SkippedWindows: skipTrain + skipVal,
-				Retries:        rep.Retries,
-				Fallback:       rep.Fallback || m.Demoted(),
-			})
+		row, _ := runCell(spec, models, cfg, CellAxes{Severity: severities[i]})
+		cells := make([]RobustnessCell, len(row))
+		for j, r := range row {
+			cells[j] = RobustnessCell{
+				Severity: severities[i], Model: r.Model, RMSE: r.RMSE,
+				Injected: r.Injected, Repaired: r.Repaired, SkippedWindows: r.SkippedWindows,
+				Retries: r.Retries, Fallback: r.Fallback,
+			}
 		}
 		return cells
 	})

@@ -54,9 +54,8 @@ func TestRobustnessSweep(t *testing.T) {
 	}
 }
 
-// The clean row of the sweep must match the plain Table 4 protocol: the
-// robustness machinery (resilient wrapper, window filtering, repair pass)
-// may not change clean-data results.
+// The clean row of the sweep is the plain Table 4 protocol: both run the
+// same cell function, so the RMSE must match bit for bit.
 func TestRobustnessSweepCleanRowMatchesTable4(t *testing.T) {
 	spec := sim.SubDatasetSpec{Operator: spectrum.OpZ, Mobility: mobility.Walking, Gran: sim.Long}
 	cfg := sweepConfig(11)
@@ -71,9 +70,8 @@ func TestRobustnessSweepCleanRowMatchesTable4(t *testing.T) {
 	if len(cells) != 1 {
 		t.Fatalf("Table4Cell returned %d cells", len(cells))
 	}
-	if diff := math.Abs(cell.RMSE - cells[0].RMSE); diff > 1e-9 {
-		t.Fatalf("clean sweep RMSE %.6f != Table4 RMSE %.6f (diff %g)",
-			cell.RMSE, cells[0].RMSE, diff)
+	if math.Float64bits(cell.RMSE) != math.Float64bits(cells[0].RMSE) {
+		t.Fatalf("clean sweep RMSE %v != Table4 RMSE %v", cell.RMSE, cells[0].RMSE)
 	}
 	if cell.Retries != 0 || cell.Fallback || cell.SkippedWindows != 0 {
 		t.Fatalf("clean row shows interventions: %+v", cell)

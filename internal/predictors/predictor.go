@@ -30,12 +30,13 @@ type Predictor interface {
 	Predict(w trace.Window) []float64
 }
 
-// EpochStat records one training epoch of TrainLoop: the running train
-// RMSE over the epoch's mini-batches (evaluated at the evolving weights,
-// i.e. the usual "training loss" curve), the validation RMSE after the
-// epoch, the learning rate in effect (changes across divergence retries),
-// the gradient L2 norm at the epoch's last batch (read before the Adam
-// step zeroes the accumulators) and the epoch's wall time.
+// EpochStat records one training epoch of TrainLoop or TrainLoopStream:
+// the running train RMSE over the epoch's mini-batches (evaluated at the
+// evolving weights, i.e. the usual "training loss" curve), the validation
+// RMSE after the epoch, the learning rate in effect (changes across
+// divergence retries), the gradient L2 norm at the epoch's last batch
+// (read before the Adam step zeroes the accumulators) and the epoch's wall
+// time.
 type EpochStat struct {
 	Epoch     int
 	TrainRMSE float64
@@ -249,9 +250,9 @@ type SeqModel interface {
 	ForwardBackward(w trace.Window, gScale float64) []float64
 }
 
-// BatchSeqModel is a SeqModel with a whole-minibatch path. TrainLoop uses
-// it when available: the batch runs through blocked batched-GEMM kernels
-// instead of one GEMV per sample. Implementations must keep results
+// BatchSeqModel is a SeqModel with a whole-minibatch path. The training
+// loop uses it when available: the batch runs through blocked batched-GEMM
+// kernels instead of one GEMV per sample. Implementations must keep results
 // bit-identical to len(ws) successive ForwardBackward calls (same forward
 // values, parameter-gradient contributions accumulated in ascending sample
 // order) so training trajectories do not depend on which path ran. The
@@ -272,9 +273,132 @@ type BatchSeqModel interface {
 // restarts Adam at LRBackoff times the rate and tries again, at most
 // MaxRetries times. Degraded field data makes both failure modes routine
 // rather than exceptional.
+//
+// Each epoch reshuffles the previous epoch's order of the training set;
+// the permutation persists across epochs and retries.
 func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainReport {
+	rep, _ := trainLoop(m, newSliceSource(train), newSliceSource(val), opts)
+	return rep
+}
+
+// windowSource feeds trainLoop one pass over a window set at a time.
+type windowSource interface {
+	// start begins a pass in minibatches of batch windows, shuffled with
+	// src, or in set order when src is nil.
+	start(batch int, src *rng.Source) error
+	// next returns the pass's next minibatch of valid windows, or an empty
+	// one once the pass is over.
+	next() ([]trace.Window, error)
+}
+
+// sliceSource is a materialized window set, filtered once. Its order
+// persists: each shuffled pass permutes the previous pass's order.
+type sliceSource struct {
+	ws         []trace.Window
+	order      []int
+	batch, pos int
+	shuffled   bool
+	buf        []trace.Window // the gathered shuffled minibatch
+}
+
+func newSliceSource(ws []trace.Window) *sliceSource {
+	ws, _ = FilterValid(ws)
+	order := make([]int, len(ws))
+	for i := range order {
+		order[i] = i
+	}
+	return &sliceSource{ws: ws, order: order}
+}
+
+func (s *sliceSource) start(batch int, src *rng.Source) error {
+	s.batch, s.pos, s.shuffled = batch, 0, src != nil
+	if src != nil {
+		src.Shuffle(len(s.order), func(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] })
+	}
+	return nil
+}
+
+func (s *sliceSource) next() ([]trace.Window, error) {
+	end := min(s.pos+s.batch, len(s.ws))
+	b := s.ws[s.pos:end]
+	if s.shuffled {
+		s.buf = s.buf[:0]
+		for _, i := range s.order[s.pos:end] {
+			s.buf = append(s.buf, s.ws[i])
+		}
+		b = s.buf
+	}
+	s.pos = end
+	return b, nil
+}
+
+// sqErr sums squared errors in one running total per pass, window by
+// window in order. Per-batch partial sums would move the RMSE's last bits,
+// and with them early stopping.
+type sqErr struct {
+	sum float64
+	n   int
+}
+
+func (e *sqErr) add(y, truth []float64) {
+	for i := range y {
+		d := y[i] - truth[i]
+		e.sum += d * d
+		e.n++
+	}
+}
+
+// rmse is NaN for an empty pass.
+func (e *sqErr) rmse() float64 {
+	if e.n == 0 {
+		return math.NaN()
+	}
+	return math.Sqrt(e.sum / float64(e.n))
+}
+
+// forward runs one minibatch through m, backpropagating the MSE loss
+// scaled by gScale when gScale > 0, and adds the squared errors to se. It
+// is the one place that chooses a BatchSeqModel's batched path over
+// ForwardBackward window by window.
+func forward(m SeqModel, b []trace.Window, gScale float64, se *sqErr) {
+	if bm, ok := m.(BatchSeqModel); ok {
+		for k, y := range bm.ForwardBackwardBatch(b, gScale) {
+			se.add(y, b[k].Y)
+		}
+		return
+	}
+	for _, w := range b {
+		se.add(m.ForwardBackward(w, gScale), w.Y)
+	}
+}
+
+// evalPass returns m's RMSE over one in-order, forward-only pass of s.
+func evalPass(m SeqModel, s windowSource, batch int) (float64, error) {
+	if err := s.start(batch, nil); err != nil {
+		return math.NaN(), err
+	}
+	var se sqErr
+	for {
+		b, err := s.next()
+		if err != nil {
+			return math.NaN(), err
+		}
+		if len(b) == 0 {
+			return se.rmse(), nil
+		}
+		forward(m, b, 0, &se)
+	}
+}
+
+// trainLoop is the one training loop behind TrainLoop and TrainLoopStream.
+// A source error aborts training; it is returned with the best-so-far
+// report and the best (or initial) weights restored.
+func trainLoop(m SeqModel, train, val windowSource, opts TrainOpts) (TrainReport, error) {
 	if opts.Epochs == 0 {
 		opts = DefaultTrainOpts()
+	}
+	if opts.Batch <= 0 {
+		opts.Batch = 128
 	}
 	if opts.MaxRetries == 0 {
 		opts.MaxRetries = 2
@@ -287,110 +411,55 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 	}
 	start := time.Now()
 	sp := obs.StartSpan("train.loop")
-	train, _ = FilterValid(train)
-	val, _ = FilterValid(val)
+	ps := m.Params()
 	src := rng.New(opts.Seed ^ 0xfeed)
-	initW := snapshot(m.Params())
+	initW := snapshotInto(nil, ps)
 	bestVal := math.Inf(1)
 	var bestW [][]float64
-	epochs := 0
-	retries := 0
-	diverged := false
-	bm, batched := m.(BatchSeqModel)
-	var batchBuf []trace.Window // gathered minibatch, reused across batches
-	evalSet := func(ws []trace.Window) float64 {
-		var se float64
-		n := 0
-		if batched && opts.Batch > 0 {
-			for bi := 0; bi < len(ws); bi += opts.Batch {
-				end := bi + opts.Batch
-				if end > len(ws) {
-					end = len(ws)
-				}
-				for k, y := range bm.ForwardBackwardBatch(ws[bi:end], 0) {
-					for i := range y {
-						d := y[i] - ws[bi+k].Y[i]
-						se += d * d
-						n++
-					}
-				}
-			}
-		} else {
-			for _, w := range ws {
-				y := m.ForwardBackward(w, 0)
-				for i := range y {
-					d := y[i] - w.Y[i]
-					se += d * d
-					n++
-				}
-			}
-		}
-		if n == 0 {
-			return math.NaN()
-		}
-		return math.Sqrt(se / float64(n))
-	}
-	order := make([]int, len(train))
-	for i := range order {
-		order[i] = i
-	}
-	lr := opts.LR
 	var epochStats []EpochStat
+	epochs, retries := 0, 0
+	diverged := false
+	lr := opts.LR
+	var err error
+attempts:
 	for attempt := 0; ; attempt++ {
-		opt := nn.NewAdam(m.Params(), lr)
+		opt := nn.NewAdam(ps, lr)
 		badEpochs := 0
 		diverged = false
 		for ep := 0; ep < opts.Epochs; ep++ {
 			epochs++
 			epStart := time.Now()
-			src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			var trainSE float64
-			trainN := 0
+			if err = train.start(opts.Batch, src); err != nil {
+				break attempts
+			}
+			var se sqErr
+			seen := 0 // training windows this epoch
 			gradN := math.NaN()
-			for bi := 0; bi < len(order); bi += opts.Batch {
-				end := bi + opts.Batch
-				if end > len(order) {
-					end = len(order)
+			for {
+				var b []trace.Window
+				if b, err = train.next(); err != nil {
+					break attempts
 				}
-				scale := 1.0 / float64(end-bi)
-				if batched {
-					batchBuf = batchBuf[:0]
-					for _, wi := range order[bi:end] {
-						batchBuf = append(batchBuf, train[wi])
-					}
-					for k, y := range bm.ForwardBackwardBatch(batchBuf, scale) {
-						for i := range y {
-							d := y[i] - batchBuf[k].Y[i]
-							trainSE += d * d
-							trainN++
-						}
-					}
-				} else {
-					for _, wi := range order[bi:end] {
-						y := m.ForwardBackward(train[wi], scale)
-						for i := range y {
-							d := y[i] - train[wi].Y[i]
-							trainSE += d * d
-							trainN++
-						}
-					}
+				if len(b) == 0 {
+					break
 				}
-				if end == len(order) {
-					// Last batch of the epoch: read the gradient norm now,
-					// before Adam's Step zeroes the accumulators.
-					gradN = gradNorm(m.Params())
-				}
+				seen += len(b)
+				forward(m, b, 1/float64(len(b)), &se)
+				// Read the norm before Step zeroes the accumulators; the
+				// epoch reports its last batch's.
+				gradN = gradNorm(ps)
 				opt.Step()
 			}
-			v := evalSet(val)
-			if math.IsNaN(v) && len(train) > 0 {
-				v = evalSet(train)
+			var v float64
+			if v, err = evalPass(m, val, opts.Batch); err != nil {
+				break attempts
 			}
-			epTrain := math.NaN()
-			if trainN > 0 {
-				epTrain = math.Sqrt(trainSE / float64(trainN))
+			if math.IsNaN(v) && seen > 0 {
+				if v, err = evalPass(m, train, opts.Batch); err != nil {
+					break attempts
+				}
 			}
-			es := EpochStat{Epoch: epochs, TrainRMSE: epTrain, ValRMSE: v,
+			es := EpochStat{Epoch: epochs, TrainRMSE: se.rmse(), ValRMSE: v,
 				LR: lr, GradNorm: gradN, Duration: time.Since(epStart)}
 			epochStats = append(epochStats, es)
 			if r := obs.Default(); r.Enabled() {
@@ -401,13 +470,13 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 					"lr": es.LR, "grad_norm": es.GradNorm, "dur_s": es.Duration.Seconds(),
 				})
 			}
-			if len(train) > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
+			if seen > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
 				diverged = true
 				break
 			}
 			if v < bestVal-1e-6 {
 				bestVal = v
-				bestW = snapshotInto(bestW, m.Params())
+				bestW = snapshotInto(bestW, ps)
 				badEpochs = 0
 			} else {
 				badEpochs++
@@ -423,9 +492,9 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 		// training never produced a finite loss) and back off the LR.
 		retries++
 		if bestW != nil {
-			restore(m.Params(), bestW)
+			restore(ps, bestW)
 		} else {
-			restore(m.Params(), initW)
+			restore(ps, initW)
 		}
 		lr *= opts.LRBackoff
 		if r := obs.Default(); r.Enabled() {
@@ -436,22 +505,27 @@ func TrainLoop(m SeqModel, train, val []trace.Window, opts TrainOpts) TrainRepor
 		}
 	}
 	if bestW != nil {
-		restore(m.Params(), bestW)
-	} else if diverged {
+		restore(ps, bestW)
+	} else if diverged || err != nil {
 		// Never saw a finite loss: the initialization is still the best
 		// known state, and at least its forward pass is finite.
-		restore(m.Params(), initW)
+		restore(ps, initW)
 	}
-	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries, "diverged": diverged})
+	trainRMSE := math.NaN()
+	if err == nil {
+		trainRMSE, err = evalPass(m, train, opts.Batch)
+	}
+	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries,
+		"diverged": diverged, "stream_err": err != nil})
 	return TrainReport{
 		Epochs:     epochs,
-		TrainRMSE:  evalSet(train),
+		TrainRMSE:  trainRMSE,
 		ValRMSE:    bestVal,
 		Duration:   time.Since(start),
 		EpochStats: epochStats,
 		Retries:    retries,
 		Diverged:   diverged,
-	}
+	}, err
 }
 
 // gradNorm returns the L2 norm over every parameter gradient accumulator.
@@ -465,12 +539,8 @@ func gradNorm(ps []*nn.Param) float64 {
 	return math.Sqrt(s)
 }
 
-func snapshot(ps []*nn.Param) [][]float64 {
-	return snapshotInto(nil, ps)
-}
-
 // snapshotInto copies the weights into dst, reusing its buffers when the
-// shapes still match (they always do within one TrainLoop run).
+// shapes still match (they always do within one training run).
 func snapshotInto(dst [][]float64, ps []*nn.Param) [][]float64 {
 	if len(dst) != len(ps) {
 		dst = make([][]float64, len(ps))

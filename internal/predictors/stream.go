@@ -1,11 +1,6 @@
 package predictors
 
 import (
-	"math"
-	"time"
-
-	"prism5g/internal/nn"
-	"prism5g/internal/obs"
 	"prism5g/internal/rng"
 	"prism5g/internal/trace"
 )
@@ -18,246 +13,64 @@ import (
 // stream a population build produces.
 const shuffleChunks = 8
 
-// TrainLoopStream is TrainLoop for window streams: the same mini-batch
-// Adam loop, early stopping and bounded divergence recovery, but the
+// TrainLoopStream is TrainLoop for window streams: the same loop, but the
 // training and validation sets are consumed through trace.WindowStream in
 // bounded chunks, so peak memory is Batch*shuffleChunks windows no matter
-// how many windows the streams yield. Minibatches go through the
-// BatchSeqModel path when the model provides one.
+// how many windows the streams yield.
 //
 // Shuffling is local: each epoch re-reads the stream in order and
 // shuffles within the bounded buffer, so the training trajectory differs
-// from TrainLoop's global shuffle — equivalent in expectation, not
-// bit-identical. Both streams are Reset as needed (per epoch for train,
-// per evaluation for val); a stream error aborts training and is
-// returned alongside the best-so-far report.
+// from TrainLoop's global shuffle — equivalent in expectation, and equal
+// bit for bit for one epoch when the buffer holds the whole set. Both
+// streams are Reset at the start of every pass; a stream error aborts
+// training and is returned alongside the best-so-far report.
 func TrainLoopStream(m SeqModel, train, val trace.WindowStream, opts TrainOpts) (TrainReport, error) {
-	if opts.Epochs == 0 {
-		opts = DefaultTrainOpts()
-	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
-	if opts.LRBackoff <= 0 || opts.LRBackoff >= 1 {
-		opts.LRBackoff = 0.5
-	}
-	if opts.DivergeFactor <= 1 {
-		opts.DivergeFactor = 50
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = 128
-	}
-	start := time.Now()
-	sp := obs.StartSpan("train.loop_stream")
-	src := rng.New(opts.Seed ^ 0xfeed)
-	initW := snapshot(m.Params())
-	bestVal := math.Inf(1)
-	var bestW [][]float64
-	epochs := 0
-	retries := 0
-	diverged := false
-	bm, batched := m.(BatchSeqModel)
+	return trainLoop(m, &streamSource{ws: train}, &streamSource{ws: val}, opts)
+}
 
-	evalStream := func(ws trace.WindowStream) (float64, error) {
-		if err := ws.Reset(); err != nil {
-			return math.NaN(), err
-		}
-		var se float64
-		n := 0
-		for {
-			chunk, err := ws.Next(opts.Batch)
-			if err != nil {
-				return math.NaN(), err
-			}
-			if len(chunk) == 0 {
-				break
-			}
-			chunk, _ = FilterValid(chunk)
-			if len(chunk) == 0 {
-				continue
-			}
-			if batched {
-				for k, y := range bm.ForwardBackwardBatch(chunk, 0) {
-					for i := range y {
-						d := y[i] - chunk[k].Y[i]
-						se += d * d
-						n++
-					}
-				}
-			} else {
-				for _, w := range chunk {
-					y := m.ForwardBackward(w, 0)
-					for i := range y {
-						d := y[i] - w.Y[i]
-						se += d * d
-						n++
-					}
-				}
-			}
-		}
-		if n == 0 {
-			return math.NaN(), nil
-		}
-		return math.Sqrt(se / float64(n)), nil
-	}
+// streamSource re-reads a window stream every pass, dropping invalid
+// windows. A shuffled pass buffers Batch*shuffleChunks windows at a time
+// and shuffles within the buffer; an in-order pass reads a batch at a
+// time.
+type streamSource struct {
+	ws          trace.WindowStream
+	src         *rng.Source
+	buf         []trace.Window
+	batch, fill int
+	pos         int
+	eof         bool
+}
 
-	bufCap := opts.Batch * shuffleChunks
-	buf := make([]trace.Window, 0, bufCap)
-	var streamErr error
-	lr := opts.LR
-	var epochStats []EpochStat
-	var trainSeen int // windows trained in the latest epoch
-attempts:
-	for attempt := 0; ; attempt++ {
-		opt := nn.NewAdam(m.Params(), lr)
-		badEpochs := 0
-		diverged = false
-		for ep := 0; ep < opts.Epochs; ep++ {
-			epochs++
-			epStart := time.Now()
-			if err := train.Reset(); err != nil {
-				streamErr = err
-				break attempts
-			}
-			var trainSE float64
-			trainN := 0
-			trainSeen = 0
-			gradN := math.NaN()
-			buf = buf[:0]
-			eof := false
-			for !eof || len(buf) > 0 {
-				// Fill the shuffle buffer from the stream.
-				for !eof && len(buf) < bufCap {
-					chunk, err := train.Next(bufCap - len(buf))
-					if err != nil {
-						streamErr = err
-						break attempts
-					}
-					if len(chunk) == 0 {
-						eof = true
-						break
-					}
-					for _, w := range chunk {
-						if ValidWindow(w) {
-							buf = append(buf, w)
-						}
-					}
-				}
-				if len(buf) == 0 {
-					break
-				}
-				src.Shuffle(len(buf), func(i, j int) { buf[i], buf[j] = buf[j], buf[i] })
-				for bi := 0; bi < len(buf); bi += opts.Batch {
-					end := bi + opts.Batch
-					if end > len(buf) {
-						end = len(buf)
-					}
-					b := buf[bi:end]
-					scale := 1.0 / float64(len(b))
-					if batched {
-						for k, y := range bm.ForwardBackwardBatch(b, scale) {
-							for i := range y {
-								d := y[i] - b[k].Y[i]
-								trainSE += d * d
-								trainN++
-							}
-						}
-					} else {
-						for _, w := range b {
-							y := m.ForwardBackward(w, scale)
-							for i := range y {
-								d := y[i] - w.Y[i]
-								trainSE += d * d
-								trainN++
-							}
-						}
-					}
-					// Unlike TrainLoop, the last batch is not known until
-					// EOF, so read the norm before every Step and keep the
-					// latest — O(params), cheap next to the batch itself.
-					gradN = gradNorm(m.Params())
-					opt.Step()
-				}
-				trainSeen += len(buf)
-				buf = buf[:0]
-			}
-			v, err := evalStream(val)
+func (s *streamSource) start(batch int, src *rng.Source) error {
+	s.src, s.batch, s.fill = src, batch, batch
+	if src != nil {
+		s.fill *= shuffleChunks
+	}
+	s.buf, s.pos, s.eof = s.buf[:0], 0, false
+	return s.ws.Reset()
+}
+
+func (s *streamSource) next() ([]trace.Window, error) {
+	if s.pos == len(s.buf) {
+		s.buf, s.pos = s.buf[:0], 0
+		for !s.eof && len(s.buf) < s.fill {
+			chunk, err := s.ws.Next(s.fill - len(s.buf))
 			if err != nil {
-				streamErr = err
-				break attempts
+				return nil, err
 			}
-			if math.IsNaN(v) && trainSeen > 0 {
-				if v, err = evalStream(train); err != nil {
-					streamErr = err
-					break attempts
-				}
-			}
-			epTrain := math.NaN()
-			if trainN > 0 {
-				epTrain = math.Sqrt(trainSE / float64(trainN))
-			}
-			es := EpochStat{Epoch: epochs, TrainRMSE: epTrain, ValRMSE: v,
-				LR: lr, GradNorm: gradN, Duration: time.Since(epStart)}
-			epochStats = append(epochStats, es)
-			if r := obs.Default(); r.Enabled() {
-				r.Add("train.epochs", 1)
-				r.Observe("train.epoch_s", es.Duration.Seconds())
-				r.Emit("train.epoch", map[string]any{
-					"epoch": es.Epoch, "train_rmse": es.TrainRMSE, "val_rmse": es.ValRMSE,
-					"lr": es.LR, "grad_norm": es.GradNorm, "dur_s": es.Duration.Seconds(),
-					"streamed": true,
-				})
-			}
-			if trainSeen > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
-				diverged = true
-				break
-			}
-			if v < bestVal-1e-6 {
-				bestVal = v
-				bestW = snapshotInto(bestW, m.Params())
-				badEpochs = 0
-			} else {
-				badEpochs++
-				if badEpochs >= opts.Patience {
-					break
+			s.eof = len(chunk) == 0
+			for _, w := range chunk {
+				if ValidWindow(w) {
+					s.buf = append(s.buf, w)
 				}
 			}
 		}
-		if !diverged || retries >= opts.MaxRetries || opts.MaxRetries < 0 {
-			break
-		}
-		retries++
-		if bestW != nil {
-			restore(m.Params(), bestW)
-		} else {
-			restore(m.Params(), initW)
-		}
-		lr *= opts.LRBackoff
-		if r := obs.Default(); r.Enabled() {
-			r.Add("train.rollbacks", 1)
-			r.Emit("train.rollback", map[string]any{
-				"attempt": attempt + 1, "next_lr": lr, "best_val": bestVal,
-			})
+		if s.src != nil {
+			s.src.Shuffle(len(s.buf), func(i, j int) { s.buf[i], s.buf[j] = s.buf[j], s.buf[i] })
 		}
 	}
-	if bestW != nil {
-		restore(m.Params(), bestW)
-	} else if diverged || streamErr != nil {
-		restore(m.Params(), initW)
-	}
-	trainRMSE := math.NaN()
-	if streamErr == nil {
-		trainRMSE, streamErr = evalStream(train)
-	}
-	sp.EndWith(map[string]any{"epochs": epochs, "retries": retries,
-		"diverged": diverged, "stream_err": streamErr != nil})
-	return TrainReport{
-		Epochs:     epochs,
-		TrainRMSE:  trainRMSE,
-		ValRMSE:    bestVal,
-		Duration:   time.Since(start),
-		EpochStats: epochStats,
-		Retries:    retries,
-		Diverged:   diverged,
-	}, streamErr
+	end := min(s.pos+s.batch, len(s.buf))
+	b := s.buf[s.pos:end]
+	s.pos = end
+	return b, nil
 }
