@@ -77,7 +77,7 @@ func DefaultOptions() Options {
 type rnnScratch struct {
 	lstm nn.LSTMTape
 	gru  nn.GRUTape
-	gh   [][]float64 // hidden-grad spine for the backward closure
+	gh   [][]float64 // hidden-grad spine for the GRU's backward closure
 }
 
 func (s *rnnScratch) ghSpine(T int) [][]float64 {
@@ -104,12 +104,7 @@ type lstmBackbone struct{ m *nn.LSTM }
 func (b lstmBackbone) Params() []*nn.Param { return b.m.Params() }
 func (b lstmBackbone) run(s *rnnScratch, seq [][]float64) ([]float64, func([]float64)) {
 	hs := b.m.ForwardTape(&s.lstm, seq, nil, nil)
-	last := hs[len(hs)-1]
-	return last, func(g []float64) {
-		gh := s.ghSpine(len(hs))
-		gh[len(hs)-1] = g
-		b.m.Backward(&s.lstm, gh)
-	}
+	return hs[len(hs)-1], func(g []float64) { b.m.BackwardBatch(&s.lstm, g) }
 }
 
 type gruBackbone struct{ m *nn.GRU }
@@ -131,7 +126,7 @@ func (b gruBackbone) run(s *rnnScratch, seq [][]float64) ([]float64, func([]floa
 // sync.Pool so concurrent Predict calls (the serving path) each grab their
 // own.
 type prismScratch struct {
-	batch  nn.LSTMBatchTape
+	batch  nn.LSTMTape
 	rnns   [trace.MaxCC]rnnScratch
 	ftape  nn.MLPTape
 	htapes [trace.MaxCC]nn.MLPTape

@@ -75,12 +75,7 @@ func MSE(pred, target []float64) float64 {
 	return s / float64(len(pred))
 }
 
-// MSEGrad returns dMSE/dpred.
-func MSEGrad(pred, target []float64) []float64 {
-	return MSEGradInto(make([]float64, len(pred)), pred, target)
-}
-
-// MSEGradInto is MSEGrad writing into a caller-owned buffer (len(pred)).
+// MSEGradInto writes dMSE/dpred into a caller-owned buffer (len(pred)).
 func MSEGradInto(g, pred, target []float64) []float64 {
 	n := float64(len(pred))
 	for i := range pred {

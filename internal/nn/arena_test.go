@@ -175,6 +175,30 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 	}
 }
 
+// TestDenseBackwardSkipsZeroGradients pins the zero-gradient skip that
+// Dense's backward passes share through AccumGradNT and AccumInputGradNT:
+// a zero output gradient adds nothing, so an infinite input leaves that
+// row's gradients finite and a -0 accumulator keeps its sign.
+func TestDenseBackwardSkipsZeroGradients(t *testing.T) {
+	d := NewDense("d", 2, 2, rng.New(1))
+	negZero := math.Copysign(0, -1)
+	for i := range d.W.Grad {
+		d.W.Grad[i] = negZero
+	}
+	d.B.Grad[0] = negZero
+	gx := d.BackwardInto(make([]float64, 2), []float64{math.Inf(1), 1}, []float64{0, 0.5})
+	for _, g := range []float64{d.W.Grad[0], d.W.Grad[1], d.B.Grad[0]} {
+		if math.Float64bits(g) != math.Float64bits(negZero) {
+			t.Fatalf("row 0 gradient %v after a zero output gradient, want -0", g)
+		}
+	}
+	for j, g := range gx {
+		if want := 0.5 * d.W.W[2+j]; g != want {
+			t.Fatalf("input gradient [%d] = %v, want %v", j, g, want)
+		}
+	}
+}
+
 func TestLSTMBatchMatchesPerSample(t *testing.T) {
 	src := rng.New(3)
 	const bsz, T, in, hid = 4, 6, 5, 8
@@ -200,10 +224,10 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 		copy(wantLast[s*hid:], hs[T-1])
 		gh := make([][]float64, T)
 		gh[T-1] = ghLast[s*hid : (s+1)*hid]
-		a.Backward(tape, gh)
+		a.Backward(tape, gh, nil)
 	}
 
-	var bt LSTMBatchTape
+	var bt LSTMTape
 	gotLast := b.ForwardBatch(&bt, X, bsz, T)
 	for i := range wantLast {
 		if gotLast[i] != wantLast[i] {
@@ -240,7 +264,7 @@ func TestTapeReuseIsDeterministic(t *testing.T) {
 		g := []float64{0.3, -0.7}
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = d.Backward(last, g)
-		l.Backward(tape, gh)
+		l.Backward(tape, gh, nil)
 		return append([]float64(nil), y...), nil
 	}
 	mkSeq := func(shift float64) [][]float64 {

@@ -43,31 +43,12 @@ func (d *Dense) ForwardBatch(Y, X []float64, n int) {
 	MatMulNT(Y, X, n, d.W.W, d.Out, d.In, d.B.W)
 }
 
-// Backward accumulates dL/dW and dL/db given the input x used in Forward and
-// the output gradient gy, and returns dL/dx.
-func (d *Dense) Backward(x, gy []float64) []float64 {
-	gx := make([]float64, d.In)
-	d.BackwardInto(gx, x, gy)
-	return gx
-}
-
-// BackwardInto is Backward writing dL/dx into a caller-owned buffer
-// (len In), which it zeroes first.
+// BackwardInto accumulates dL/dW and dL/db given the input x used in the
+// forward pass and the output gradient gy, and writes dL/dx into a
+// caller-owned buffer (len In), which it zeroes first. It is
+// BackwardBatch on one row.
 func (d *Dense) BackwardInto(gx, x, gy []float64) []float64 {
-	clear(gx)
-	for o := 0; o < d.Out; o++ {
-		g := gy[o]
-		if g == 0 {
-			continue
-		}
-		d.B.Grad[o] += g
-		row := d.W.W[o*d.In : (o+1)*d.In]
-		grow := d.W.Grad[o*d.In : (o+1)*d.In]
-		for i, xv := range x {
-			grow[i] += g * xv
-			gx[i] += g * row[i]
-		}
-	}
+	d.BackwardBatch(gx, x, gy, 1)
 	return gx
 }
 
@@ -75,7 +56,7 @@ func (d *Dense) BackwardInto(gx, x, gy []float64) []float64 {
 // is the n*In forward input, GY the n*Out output gradient) and writes the
 // input gradients into GX (n*In, zeroed first). Per gradient element the
 // samples accumulate in ascending batch order — exactly the order n
-// successive Backward calls would have used.
+// successive one-row calls use.
 func (d *Dense) BackwardBatch(GX, X, GY []float64, n int) {
 	clear(GX)
 	AccumGradNT(d.W.Grad, d.B.Grad, GY, n, d.Out, X, d.In)
@@ -110,7 +91,7 @@ func (m *MLP) Params() []*Param {
 }
 
 // MLPTape records the intermediates of one MLP forward pass. A tape owned
-// by the caller can be reused across passes via ForwardTape: its arena is
+// by the caller can be reused across ForwardTape passes: its arena is
 // rewound and the buffers are recycled, so steady-state passes allocate
 // nothing.
 type MLPTape struct {
@@ -120,13 +101,7 @@ type MLPTape struct {
 	preact [][]float64
 
 	ar   Arena
-	mark Mark // arena state after Forward; Backward rewinds here
-}
-
-// Forward runs the MLP, returning the output and a fresh tape for Backward.
-func (m *MLP) Forward(x []float64) ([]float64, *MLPTape) {
-	t := &MLPTape{}
-	return m.ForwardTape(t, x), t
+	mark Mark // arena state after ForwardTape; Backward rewinds here
 }
 
 // ForwardTape runs the MLP recording intermediates into a reusable tape,

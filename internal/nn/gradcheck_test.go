@@ -162,7 +162,7 @@ func TestGradCheckLSTM(t *testing.T) {
 	}
 	ZeroGrads(l)
 	_, tape := l.Forward(seq)
-	gxs, _, _ := l.Backward(tape, coef)
+	gxs, _, _ := l.Backward(tape, coef, nil)
 	checkParamGrads(t, l, loss)
 	for ti := range seq {
 		checkSliceGrads(t, "lstm.x", seq[ti], gxs[ti], loss)
@@ -187,7 +187,7 @@ func TestGradCheckLSTMInitialState(t *testing.T) {
 	}
 	ZeroGrads(l)
 	_, tape := l.ForwardFrom(seq, h0, c0)
-	_, dh0, dc0 := l.BackwardWithCellGrad(tape, coef, cCoef)
+	_, dh0, dc0 := l.Backward(tape, coef, cCoef)
 	checkParamGrads(t, l, loss)
 	checkSliceGrads(t, "lstm.h0", h0, dh0, loss)
 	checkSliceGrads(t, "lstm.c0", c0, dc0, loss)

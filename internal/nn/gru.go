@@ -47,19 +47,13 @@ type GRUTape struct {
 // T returns the sequence length.
 func (t *GRUTape) T() int { return len(t.xs) }
 
-// Forward runs the GRU over seq from zero state, returning hidden states
-// and the tape.
-func (g *GRU) Forward(seq [][]float64) ([][]float64, *GRUTape) {
-	t := &GRUTape{}
-	return g.ForwardTape(t, seq), t
-}
-
-// ForwardTape is Forward recording into a reusable caller-owned tape. The
-// returned hidden-state sequence is a view into the tape, valid until its
-// next use. The z/r gate preactivations use the batched kernels; the n
-// candidate keeps Uh_n·hPrev as a separate dot (needed exactly in
-// backward), so its accumulation chain is unchanged too. The gates run
-// through the gate kernel (gate.go), bit-identical to Sigmoid and Tanh.
+// ForwardTape runs the GRU over seq from zero state, recording into a
+// reusable caller-owned tape. The returned hidden-state sequence is a view
+// into the tape, valid until its next use. The z/r gate preactivations use
+// the batched kernels; the n candidate keeps Uh_n·hPrev as a separate dot
+// (needed exactly in backward), so its accumulation chain is unchanged
+// too. The gates run through the gate kernel (gate.go), bit-identical to
+// Sigmoid and Tanh.
 func (g *GRU) ForwardTape(t *GRUTape, seq [][]float64) [][]float64 {
 	H := g.Hidden
 	T := len(seq)

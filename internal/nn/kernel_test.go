@@ -113,7 +113,7 @@ func TestLSTMPackedMatchesScalar(t *testing.T) {
 			for _, h := range l.ForwardTape(&lt, seq, nil, nil) {
 				out["LSTM.ForwardTape"] = append(out["LSTM.ForwardTape"], h...)
 			}
-			var bt LSTMBatchTape
+			var bt LSTMTape
 			out["LSTM.ForwardBatch"] = append([]float64(nil), l.ForwardBatch(&bt, X, b, T)...)
 			var gt GRUTape
 			for _, h := range g.ForwardTape(&gt, seq) {

@@ -31,83 +31,106 @@ func NewLSTM(name string, in, hidden int, src *rng.Source) *LSTM {
 // Params implements Module.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// LSTMTape records one sequence forward pass for BPTT. A caller-owned tape
-// reused across ForwardTape calls recycles its arena-backed buffers, so
-// steady-state passes allocate nothing.
+// LSTMTape records a forward pass over b lanes — b sequences of one
+// length, each from its own state — for BPTT. Every per-step buffer holds
+// the lanes back to back: lane s of step t sits at [s*H:(s+1)*H] of the
+// step's row, and its input at [s*In:(s+1)*In]. A caller-owned tape
+// reused across passes recycles its arena-backed buffers, so steady-state
+// passes allocate nothing.
 type LSTMTape struct {
-	xs           [][]float64 // inputs per step
+	b            int         // lanes
+	xs           [][]float64 // inputs per step (b*In, the caller's)
 	i, f, g, o   [][]float64 // gate activations per step
 	c, h         [][]float64 // cell and hidden states per step
 	tanhC        [][]float64 // tanh(c) per step
 	cPrev, hPrev []float64   // initial states
 
 	ar   Arena
-	mark Mark // arena state after Forward; Backward rewinds here
+	mark Mark // arena state after the forward; backward passes rewind here
 }
 
 // T returns the sequence length of the tape.
 func (t *LSTMTape) T() int { return len(t.xs) }
 
-// Forward runs the LSTM over seq (T steps of In features), starting from
-// zero states, and returns the hidden-state sequence plus a fresh tape.
-func (l *LSTM) Forward(seq [][]float64) ([][]float64, *LSTMTape) {
-	return l.ForwardFrom(seq, nil, nil)
-}
-
-// ForwardFrom runs the LSTM from the given initial hidden and cell states
-// (nil means zeros), enabling encoder-decoder chaining.
-func (l *LSTM) ForwardFrom(seq [][]float64, h0, c0 []float64) ([][]float64, *LSTMTape) {
-	t := &LSTMTape{}
-	return l.ForwardTape(t, seq, h0, c0), t
-}
-
-// ForwardTape is ForwardFrom recording into a reusable caller-owned tape.
-// The returned hidden-state sequence is a view into the tape, valid until
-// its next use. The gate preactivations are computed with the packed
-// kernel (kernel.go), whose per-element accumulation order matches the
-// scalar loop bit for bit, and the gates with the gate kernel (gate.go),
-// which matches Sigmoid and Tanh bit for bit. Wx and Wh are packed into
-// the tape on every call, so the parameters stay the only copy an
-// optimizer step updates.
+// ForwardTape runs the LSTM over one sequence seq (T steps of In
+// features) from the given initial hidden and cell states (nil means
+// zeros), recording it as the tape's one lane. The returned hidden-state
+// sequence is a view into the tape, valid until its next use. The tape
+// copies seq's spine but not its rows, which must stay valid until the
+// backward pass.
 func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]float64 {
-	H := l.Hidden
-	T := len(seq)
 	t.ar.Reset()
-	wx := packNT(&t.ar, l.Wx.W, 4*H, l.In)
-	wh := packNT(&t.ar, l.Wh.W, 4*H, H)
-	if h0 == nil {
-		h0 = t.ar.Floats(H)
-	}
-	if c0 == nil {
-		c0 = t.ar.Floats(H)
-	}
-	t.hPrev, t.cPrev = h0, c0
-	t.xs = t.ar.Rows(T)
-	t.i = t.ar.Matrix(T, H)
-	t.f = t.ar.Matrix(T, H)
-	t.g = t.ar.Matrix(T, H)
-	t.o = t.ar.Matrix(T, H)
-	t.c = t.ar.Matrix(T, H)
-	t.h = t.ar.Matrix(T, H)
-	t.tanhC = t.ar.Matrix(T, H)
-	z := t.ar.Floats(4 * H) // gate preactivations, overwritten per step
-	hPrev, cPrev := h0, c0
-	for ti, x := range seq {
-		// z[gate*H+h] = b + Wx·x + Wh·hPrev, each dot in ascending order.
-		wx.mul(z, x, 1, l.B.W, false)
-		wh.mul(z, hPrev, 1, nil, true)
-		cellStep(z, cPrev, t.i[ti], t.f[ti], t.g[ti], t.o[ti], t.c[ti], t.tanhC[ti], t.h[ti])
-		t.xs[ti] = x
-		hPrev, cPrev = t.h[ti], t.c[ti]
-	}
-	t.mark = t.ar.Mark()
+	t.xs = t.ar.Rows(len(seq))
+	copy(t.xs, seq)
+	l.forward(t, 1, h0, c0)
 	return t.h
 }
 
-// cellStep is one sample's LSTM cell update: from the gate preactivations
+// ForwardBatch runs the LSTM over a minibatch of b sequences of length T,
+// all from zero state, as the tape's b lanes. X is step-major flat: step
+// ti, sample s is X[(ti*b+s)*In : +In]. X must stay valid until
+// BackwardBatch. It returns the final hidden states as one flat b*H block
+// (a view into the tape; the zero initial state when T is 0).
+func (l *LSTM) ForwardBatch(t *LSTMTape, X []float64, b, T int) []float64 {
+	t.ar.Reset()
+	t.xs = t.ar.Rows(T)
+	n := b * l.In
+	for ti := range t.xs {
+		t.xs[ti] = X[ti*n : (ti+1)*n]
+	}
+	return l.forward(t, b, nil, nil)
+}
+
+// forward is the one forward loop behind ForwardTape and ForwardBatch,
+// which reset the arena and fill t.xs. It runs the b lanes from h0 and c0
+// (b*H each; nil means zeros) and returns the last step's hidden states.
+// Each step computes every lane's gate preactivations as one product with
+// the packed kernel (kernel.go), whose per-element accumulation order
+// matches the scalar loop bit for bit, then runs cellStep per lane with
+// the gate kernel (gate.go), which matches Sigmoid and Tanh bit for bit.
+// So each lane's values are those of a one-lane pass. Wx and Wh are packed
+// into the tape on every call, so the parameters stay the only copy an
+// optimizer step updates.
+func (l *LSTM) forward(t *LSTMTape, b int, h0, c0 []float64) []float64 {
+	H := l.Hidden
+	T := len(t.xs)
+	wx := packNT(&t.ar, l.Wx.W, 4*H, l.In)
+	wh := packNT(&t.ar, l.Wh.W, 4*H, H)
+	if h0 == nil {
+		h0 = t.ar.Floats(b * H)
+	}
+	if c0 == nil {
+		c0 = t.ar.Floats(b * H)
+	}
+	t.b, t.hPrev, t.cPrev = b, h0, c0
+	t.i = t.ar.Matrix(T, b*H)
+	t.f = t.ar.Matrix(T, b*H)
+	t.g = t.ar.Matrix(T, b*H)
+	t.o = t.ar.Matrix(T, b*H)
+	t.c = t.ar.Matrix(T, b*H)
+	t.h = t.ar.Matrix(T, b*H)
+	t.tanhC = t.ar.Matrix(T, b*H)
+	z := t.ar.Floats(b * 4 * H) // gate preactivations, overwritten per step
+	hPrev, cPrev := h0, c0
+	for ti, x := range t.xs {
+		// z[s*4H + gate*H + h] = b + Wx·x + Wh·hPrev, each dot ascending.
+		wx.mul(z, x, b, l.B.W, false)
+		wh.mul(z, hPrev, b, nil, true)
+		for s := 0; s < b; s++ {
+			lo, hi := s*H, (s+1)*H
+			cellStep(z[4*lo:4*hi], cPrev[lo:hi], t.i[ti][lo:hi], t.f[ti][lo:hi], t.g[ti][lo:hi],
+				t.o[ti][lo:hi], t.c[ti][lo:hi], t.tanhC[ti][lo:hi], t.h[ti][lo:hi])
+		}
+		hPrev, cPrev = t.h[ti], t.c[ti]
+	}
+	t.mark = t.ar.Mark()
+	return hPrev
+}
+
+// cellStep is one lane's LSTM cell update: from the gate preactivations
 // z (the i, f, g and o blocks, H each) and the previous cell state, it
 // fills the gate activations i, f, g, o, the cell state c, tanh(c) and
-// the hidden state h. ForwardTape and ForwardBatch both run it.
+// the hidden state h. The forward loop runs it per lane and step.
 func cellStep(z, cPrev, i, f, g, o, c, tc, h []float64) {
 	H := len(c)
 	sigmoids(i, z[:H])
@@ -123,24 +146,47 @@ func cellStep(z, cPrev, i, f, g, o, c, tc, h []float64) {
 	}
 }
 
-// Backward runs BPTT. gh is the gradient of the loss with respect to each
-// hidden state (len T; entries may be nil meaning zero). It accumulates
-// parameter gradients and returns gradients with respect to the inputs
-// plus the gradients with respect to the initial hidden and cell states.
-// Returned slices are views into the tape's scratch, valid until its next
-// use.
-func (l *LSTM) Backward(tape *LSTMTape, gh [][]float64) (gxs [][]float64, dh0, dc0 []float64) {
-	return l.BackwardWithCellGrad(tape, gh, nil)
+// Backward runs BPTT through a one-lane tape. gh is the gradient of the
+// loss with respect to each hidden state (len T; entries may be nil
+// meaning zero), and dcT, when non-nil, the gradient flowing into the
+// final cell state (a decoder was started from this LSTM's terminal
+// state). It accumulates parameter gradients and returns gradients with
+// respect to the inputs plus those with respect to the initial hidden and
+// cell states. Returned slices are views into the tape's scratch, valid
+// until its next use.
+func (l *LSTM) Backward(t *LSTMTape, gh [][]float64, dcT []float64) (gxs [][]float64, dh0, dc0 []float64) {
+	return l.bptt(t, 0, t.mark, gh, dcT)
 }
 
-// BackwardWithCellGrad is Backward with an additional gradient dcT flowing
-// into the final cell state (used when a decoder was initialized from this
-// LSTM's terminal state).
-func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float64) (gxs [][]float64, dh0, dc0 []float64) {
+// BackwardBatch backpropagates through every lane of the tape, such as a
+// ForwardBatch pass. ghLast is the flat b*H gradient flowing into each
+// lane's final hidden state (the only step the downstream head reads). The lanes run the one BPTT loop in
+// ascending order, so each parameter gradient adds their contributions in
+// the order b successive one-lane Backward calls would: the result is
+// bit-identical to them.
+func (l *LSTM) BackwardBatch(t *LSTMTape, ghLast []float64) {
+	H := l.Hidden
+	T := t.T()
+	if T == 0 {
+		return
+	}
+	t.ar.Rewind(t.mark)
+	gh := t.ar.Rows(T)
+	m := t.ar.Mark() // lane scratch starts above the spine
+	for s := 0; s < t.b; s++ {
+		gh[T-1] = ghLast[s*H : (s+1)*H]
+		l.bptt(t, s, m, gh, nil)
+	}
+}
+
+// bptt is the one BPTT loop: it backpropagates lane s of the tape, drawing
+// its scratch from the arena at m.
+func (l *LSTM) bptt(t *LSTMTape, s int, m Mark, gh [][]float64, dcT []float64) (gxs [][]float64, dh0, dc0 []float64) {
 	H, In := l.Hidden, l.In
-	T := tape.T()
-	ar := &tape.ar
-	ar.Rewind(tape.mark)
+	T := t.T()
+	lo, hi := s*H, (s+1)*H
+	ar := &t.ar
+	ar.Rewind(m)
 	gxs = ar.Rows(T)
 	dhNext := ar.Floats(H)
 	dcNext := ar.Floats(H)
@@ -155,21 +201,20 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 	dzg := ar.Floats(H)
 	dzo := ar.Floats(H)
 	dc := ar.Floats(H)
-	for t := T - 1; t >= 0; t-- {
+	for ti := T - 1; ti >= 0; ti-- {
 		copy(dh, dhNext)
-		if t < len(gh) && gh[t] != nil {
+		if ti < len(gh) && gh[ti] != nil {
 			for h := 0; h < H; h++ {
-				dh[h] += gh[t][h]
+				dh[h] += gh[ti][h]
 			}
 		}
-		iv, fv, gv, ov := tape.i[t], tape.f[t], tape.g[t], tape.o[t]
-		tc := tape.tanhC[t]
-		var cPrev, hPrev []float64
-		if t == 0 {
-			cPrev, hPrev = tape.cPrev, tape.hPrev
-		} else {
-			cPrev, hPrev = tape.c[t-1], tape.h[t-1]
+		iv, fv, gv, ov := t.i[ti][lo:hi], t.f[ti][lo:hi], t.g[ti][lo:hi], t.o[ti][lo:hi]
+		tc := t.tanhC[ti][lo:hi]
+		cPrev, hPrev := t.cPrev, t.hPrev
+		if ti > 0 {
+			cPrev, hPrev = t.c[ti-1], t.h[ti-1]
 		}
+		cPrev, hPrev = cPrev[lo:hi], hPrev[lo:hi]
 		for h := 0; h < H; h++ {
 			do := dh[h] * tc[h]
 			dc[h] = dcNext[h] + dh[h]*ov[h]*(1-tc[h]*tc[h])
@@ -184,7 +229,7 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 		// Parameter grads and input/hidden grads.
 		gx := ar.Floats(In)
 		clear(dhPrev)
-		x := tape.xs[t]
+		x := t.xs[ti][s*In : (s+1)*In]
 		for h := 0; h < H; h++ {
 			for gate, dz := range [4][]float64{dzi, dzf, dzg, dzo} {
 				z := dz[h]
@@ -207,7 +252,7 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 				}
 			}
 		}
-		gxs[t] = gx
+		gxs[ti] = gx
 		copy(dhNext, dhPrev)
 		for h := 0; h < H; h++ {
 			dcNext[h] = dc[h] * fv[h]
@@ -216,8 +261,8 @@ func (l *LSTM) BackwardWithCellGrad(tape *LSTMTape, gh [][]float64, dcT []float6
 	return gxs, dhNext, dcNext
 }
 
-// LastHidden returns the final hidden and cell state of the tape (zeros for
-// an empty sequence).
+// LastHidden returns the final hidden and cell state of a one-lane tape
+// (its initial state for an empty sequence).
 func (t *LSTMTape) LastHidden() (h, c []float64) {
 	if len(t.h) == 0 {
 		return t.hPrev, t.cPrev

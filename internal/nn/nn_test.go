@@ -142,7 +142,7 @@ func TestLSTMGradients(t *testing.T) {
 		hs, tape := l.Forward(seq)
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-		l.Backward(tape, gh)
+		l.Backward(tape, gh, nil)
 	}
 	checkGrads(t, l, forward, backward)
 }
@@ -166,7 +166,7 @@ func TestLSTMAllStepGradients(t *testing.T) {
 		for i, h := range hs {
 			gh[i] = MSEGrad(h, target)
 		}
-		l.Backward(tape, gh)
+		l.Backward(tape, gh, nil)
 	}
 	checkGrads(t, l, forward, backward)
 }
@@ -179,7 +179,7 @@ func TestLSTMInputGradients(t *testing.T) {
 	hs, tape := l.Forward(seq)
 	gh := make([][]float64, len(hs))
 	gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-	gxs, _, _ := l.Backward(tape, gh)
+	gxs, _, _ := l.Backward(tape, gh, nil)
 	const eps = 1e-5
 	for ti := range seq {
 		for fi := range seq[ti] {
@@ -397,7 +397,7 @@ func TestLSTMLearnsToSumSequence(t *testing.T) {
 		g := MSEGrad(y, []float64{mean})
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = head.Backward(hs[len(hs)-1], g)
-		l.Backward(tape, gh)
+		l.Backward(tape, gh, nil)
 		opt.Step()
 	}
 	after := lossAt()

@@ -48,17 +48,12 @@ type Seq2SeqTape struct {
 	mark Mark
 }
 
-// Forward encodes hist ([T][in]) and decodes Horizon predictions. teacher,
-// when non-nil, provides the ground-truth sequence for teacher forcing
-// (teacher[k] is the true value at horizon step k); the decoder's first
-// input is the last history value histLast.
-func (s *Seq2Seq) Forward(hist [][]float64, histLast float64, teacher []float64) ([]float64, *Seq2SeqTape) {
-	t := &Seq2SeqTape{}
-	return s.ForwardTape(t, hist, histLast, teacher), t
-}
-
-// ForwardTape is Forward recording into a reusable caller-owned tape. The
-// returned predictions are a view into the tape, valid until its next use.
+// ForwardTape encodes hist ([T][in]) and decodes Horizon predictions,
+// recording into a reusable caller-owned tape. teacher, when non-nil,
+// provides the ground-truth sequence for teacher forcing (teacher[k] is
+// the true value at horizon step k); the decoder's first input is the last
+// history value histLast. The returned predictions are a view into the
+// tape, valid until its next use.
 func (s *Seq2Seq) ForwardTape(t *Seq2SeqTape, hist [][]float64, histLast float64, teacher []float64) []float64 {
 	t.ar.Reset()
 	s.Enc.ForwardTape(&t.encTape, hist, nil, nil)
@@ -124,12 +119,12 @@ func (s *Seq2Seq) Backward(tape *Seq2SeqTape, gPred []float64) {
 		gy[0] = gPred[k]
 		gh[k] = s.Head.BackwardInto(ar.Floats(s.Head.In), h, gy)
 	}
-	_, dh0, dc0 := s.Dec.Backward(&tape.decTape, gh)
+	_, dh0, dc0 := s.Dec.Backward(&tape.decTape, gh, nil)
 	// Push the state gradients into the encoder's last step.
 	encGh := ar.Rows(tape.encTape.T())
 	if tape.encTape.T() > 0 {
 		encGh[tape.encTape.T()-1] = dh0
 	}
 	// dc0 flows into the encoder's terminal cell state.
-	s.Enc.BackwardWithCellGrad(&tape.encTape, encGh, dc0)
+	s.Enc.Backward(&tape.encTape, encGh, dc0)
 }

@@ -65,14 +65,9 @@ type TCNTape struct {
 	mark Mark
 }
 
-// Forward runs the TCN over seq [T][In] returning [T][Channels].
-func (t *TCN) Forward(seq [][]float64) ([][]float64, *TCNTape) {
-	tape := &TCNTape{}
-	return t.ForwardTape(tape, seq), tape
-}
-
-// ForwardTape is Forward recording into a reusable caller-owned tape. The
-// returned sequence is a view into the tape, valid until its next use.
+// ForwardTape runs the TCN over seq [T][In], recording into a reusable
+// caller-owned tape, and returns [T][Channels]: a view into the tape,
+// valid until its next use.
 func (t *TCN) ForwardTape(tape *TCNTape, seq [][]float64) [][]float64 {
 	tape.ar.Reset()
 	tape.inputs = tape.inputs[:0]

@@ -26,20 +26,13 @@ type LSTMPredictor struct {
 	lstm *nn.LSTM
 	head *nn.Dense
 
-	pool sync.Pool // *lstmScratch, per-sample path
-	bs   lstmBatchScratch
+	pool sync.Pool   // *lstmScratch, for ForwardBackward and Predict
+	bs   lstmScratch // ForwardBackwardBatch's; train-time only, so not pooled
 }
 
 type lstmScratch struct {
 	tape nn.LSTMTape
 	ar   nn.Arena
-}
-
-// lstmBatchScratch backs ForwardBackwardBatch; train-time only, so it
-// lives on the model without pooling.
-type lstmBatchScratch struct {
-	btape nn.LSTMBatchTape
-	ar    nn.Arena
 }
 
 // NewLSTMPredictor builds the baseline (paper: two-layer 128 hidden; we use
@@ -64,60 +57,47 @@ func (p *LSTMPredictor) Params() []*nn.Param {
 	return append(p.lstm.Params(), p.head.Params()...)
 }
 
-// ForwardBackward implements SeqModel.
+// ForwardBackward implements SeqModel: the window runs as a minibatch of
+// one on pooled scratch, so concurrent Predict calls are safe.
 func (p *LSTMPredictor) ForwardBackward(w trace.Window, gScale float64) []float64 {
 	s := p.pool.Get().(*lstmScratch)
-	s.ar.Reset()
-	seq := aggFeaturesInto(&s.ar, w)
-	hs := p.lstm.ForwardTape(&s.tape, seq, nil, nil)
-	last := hs[len(hs)-1]
-	y := p.head.Forward(last)
-	if gScale > 0 {
-		g := nn.MSEGradInto(s.ar.Floats(len(y)), y, w.Y)
-		for i := range g {
-			g[i] *= gScale
-		}
-		gh := s.ar.Rows(len(hs))
-		gh[len(hs)-1] = p.head.BackwardInto(s.ar.Floats(p.head.In), last, g)
-		p.lstm.Backward(&s.tape, gh)
-	}
+	y := append([]float64(nil), p.forwardBackward(s, []trace.Window{w}, gScale)[0]...)
 	p.pool.Put(s)
 	return y
 }
 
-// ForwardBackwardBatch implements BatchSeqModel: the whole minibatch runs
-// through the batched LSTM/head kernels. Per sample every float64
-// accumulation chain — forward values, loss gradients and the ascending
-// sample order of parameter-gradient contributions — matches per-sample
-// ForwardBackward calls exactly, so training results are bit-identical.
-// The returned predictions are views into model scratch, valid until the
-// next batch call; not safe for concurrent use (train-time only).
+// ForwardBackwardBatch implements BatchSeqModel. The returned predictions
+// are views into model scratch, valid until the next batch call; not safe
+// for concurrent use (train-time only).
 func (p *LSTMPredictor) ForwardBackwardBatch(ws []trace.Window, gScale float64) [][]float64 {
 	if len(ws) == 0 {
 		return nil
 	}
-	T := len(ws[0].AggHist)
-	for _, w := range ws[1:] {
-		if len(w.AggHist) != T {
-			// Ragged histories: fall back to the per-sample path.
-			ys := make([][]float64, len(ws))
-			for i, w := range ws {
-				ys[i] = p.ForwardBackward(w, gScale)
-			}
-			return ys
-		}
-	}
+	return p.forwardBackward(&p.bs, ws, gScale)
+}
+
+// forwardBackward is the model's one pass: the windows, which must share
+// one history length, run as the lanes of one LSTM tape and as the rows
+// of one head product. Per window every float64 accumulation chain —
+// forward values, loss gradients and the ascending window order of
+// parameter-gradient contributions — matches a one-window pass, so any
+// minibatch trains bit-identically to its windows one by one. The
+// returned predictions are views into s.
+func (p *LSTMPredictor) forwardBackward(s *lstmScratch, ws []trace.Window, gScale float64) [][]float64 {
 	b := len(ws)
-	s := &p.bs
+	T := len(ws[0].AggHist)
 	s.ar.Reset()
 	// Gather features step-major: step t, sample si at X[(t*b+si)*dim].
 	X := s.ar.Floats(T * b * AggFeatureDim)
 	for si, w := range ws {
+		if len(w.AggHist) != T {
+			panic("predictors: LSTM minibatch windows differ in history length")
+		}
 		for t := 0; t < T; t++ {
 			fillAggFeatures(X[(t*b+si)*AggFeatureDim:(t*b+si+1)*AggFeatureDim], w, t)
 		}
 	}
-	lastH := p.lstm.ForwardBatch(&s.btape, X, b, T)
+	lastH := p.lstm.ForwardBatch(&s.tape, X, b, T)
 	out := p.head.Out
 	Y := s.ar.Floats(b * out)
 	p.head.ForwardBatch(Y, lastH, b)
@@ -135,7 +115,7 @@ func (p *LSTMPredictor) ForwardBackwardBatch(ws []trace.Window, gScale float64) 
 		}
 		GH := s.ar.Floats(b * p.head.In)
 		p.head.BackwardBatch(GH, lastH, G, b)
-		p.lstm.BackwardBatch(&s.btape, GH)
+		p.lstm.BackwardBatch(&s.tape, GH)
 	}
 	return ys
 }
