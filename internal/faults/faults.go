@@ -222,19 +222,6 @@ func (p *FaultPlan) Apply(tr *trace.Trace, seed uint64) Report {
 	return rep
 }
 
-// ApplyDataset degrades every trace of the dataset, deriving one seed per
-// trace so traces stay independent.
-func (p *FaultPlan) ApplyDataset(d *trace.Dataset, seed uint64) Report {
-	var rep Report
-	if p == nil || !p.Enabled() {
-		return rep
-	}
-	for i := range d.Traces {
-		rep.Add(p.Apply(&d.Traces[i], seed^(uint64(i+1)*0x9e3779b97f4a7c15)))
-	}
-	return rep
-}
-
 // outage zeroes the connection over samples [from, to): no throughput, no
 // active carriers, SCell slots released, a -1 signaling mark at onset.
 // This is what an RRC re-establishment window looks like in a trace.

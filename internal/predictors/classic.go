@@ -1,7 +1,6 @@
 package predictors
 
 import (
-	"fmt"
 	"math"
 
 	"prism5g/internal/ml"
@@ -225,9 +224,4 @@ func (p *HarmonicMean) Predict(w trace.Window) []float64 {
 		out[i] = h
 	}
 	return out
-}
-
-// Describe returns a one-line description of any predictor for logs.
-func Describe(p Predictor) string {
-	return fmt.Sprintf("%T(%s)", p, p.Name())
 }

@@ -104,8 +104,7 @@ func TestTrainLoopsPinned(t *testing.T) {
 	if n := opts.Batch * shuffleChunks; len(train) <= 2*n {
 		t.Fatalf("%d training windows fill the %d-window shuffle buffer at most twice", len(train), n)
 	}
-	brittleOpts := TrainOpts{Epochs: 5, Batch: 2, LR: 0.1, Patience: 3, Seed: 1,
-		MaxRetries: 2, LRBackoff: 0.5, DivergeFactor: 50}
+	brittleOpts := TrainOpts{Epochs: 5, Batch: 2, LR: 0.1, Patience: 3, Seed: 1}
 	brittleTrain := []trace.Window{mkWindow(10, 10, 0.5), mkWindow(10, 10, 0.4)}
 	brittleVal := []trace.Window{mkWindow(10, 10, 0.45)}
 	for _, stream := range []bool{false, true} {

@@ -221,23 +221,23 @@ type TrainOpts struct {
 	LR       float64
 	Patience int // early-stop after this many non-improving epochs
 	Seed     uint64
-	// MaxRetries bounds divergence recoveries: on a non-finite or
-	// exploding validation loss the loop rolls back to the best (or
-	// initial) weights, halves the LR via LRBackoff and restarts the
-	// optimizer. 0 means DefaultTrainOpts' 2; negative disables recovery.
-	MaxRetries int
-	// LRBackoff multiplies the learning rate on each retry (0 = 0.5).
-	LRBackoff float64
-	// DivergeFactor flags an epoch as diverged when its loss exceeds
-	// this multiple of the best seen so far (0 = 50).
-	DivergeFactor float64
 }
 
+// Divergence recovery in the training loop: an epoch diverges when its
+// validation loss is non-finite or exceeds divergeFactor times the best
+// seen so far. The loop then rolls back to the best (or initial) weights,
+// multiplies the learning rate by lrBackoff and restarts the optimizer, at
+// most maxRetries times.
+const (
+	maxRetries    = 2
+	lrBackoff     = 0.5
+	divergeFactor = 50
+)
+
 // DefaultTrainOpts mirrors the paper's setup (Adam lr 0.01, batch 128, max
-// 200 epochs) with early stopping, plus bounded divergence recovery.
+// 200 epochs) with early stopping.
 func DefaultTrainOpts() TrainOpts {
-	return TrainOpts{Epochs: 200, Batch: 128, LR: 0.01, Patience: 12, Seed: 1,
-		MaxRetries: 2, LRBackoff: 0.5, DivergeFactor: 50}
+	return TrainOpts{Epochs: 200, Batch: 128, LR: 0.01, Patience: 12, Seed: 1}
 }
 
 // SeqModel is the minimal contract the shared training loop needs. It is
@@ -270,8 +270,8 @@ type BatchSeqModel interface {
 // The loop is divergence-hardened: windows with non-finite inputs or
 // targets are filtered up front, and when an epoch ends in a NaN/Inf or
 // exploding loss the loop rolls back to the best (or initial) weights,
-// restarts Adam at LRBackoff times the rate and tries again, at most
-// MaxRetries times. Degraded field data makes both failure modes routine
+// restarts Adam at lrBackoff times the rate and tries again, at most
+// maxRetries times. Degraded field data makes both failure modes routine
 // rather than exceptional.
 //
 // Each epoch reshuffles the previous epoch's order of the training set;
@@ -400,15 +400,6 @@ func trainLoop(m SeqModel, train, val windowSource, opts TrainOpts) (TrainReport
 	if opts.Batch <= 0 {
 		opts.Batch = 128
 	}
-	if opts.MaxRetries == 0 {
-		opts.MaxRetries = 2
-	}
-	if opts.LRBackoff <= 0 || opts.LRBackoff >= 1 {
-		opts.LRBackoff = 0.5
-	}
-	if opts.DivergeFactor <= 1 {
-		opts.DivergeFactor = 50
-	}
 	start := time.Now()
 	sp := obs.StartSpan("train.loop")
 	ps := m.Params()
@@ -470,7 +461,7 @@ attempts:
 					"lr": es.LR, "grad_norm": es.GradNorm, "dur_s": es.Duration.Seconds(),
 				})
 			}
-			if seen > 0 && (!finite(v) || (finite(bestVal) && v > opts.DivergeFactor*bestVal)) {
+			if seen > 0 && (!finite(v) || (finite(bestVal) && v > divergeFactor*bestVal)) {
 				diverged = true
 				break
 			}
@@ -485,7 +476,7 @@ attempts:
 				}
 			}
 		}
-		if !diverged || retries >= opts.MaxRetries || opts.MaxRetries < 0 {
+		if !diverged || retries >= maxRetries {
 			break
 		}
 		// Roll back to the last known-good weights (the initialization if
@@ -496,7 +487,7 @@ attempts:
 		} else {
 			restore(ps, initW)
 		}
-		lr *= opts.LRBackoff
+		lr *= lrBackoff
 		if r := obs.Default(); r.Enabled() {
 			r.Add("train.rollbacks", 1)
 			r.Emit("train.rollback", map[string]any{

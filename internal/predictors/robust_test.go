@@ -101,7 +101,6 @@ func TestTrainLoopRollsBackOnDivergence(t *testing.T) {
 	val := []trace.Window{mkWindow(10, 10, 0.45)}
 	rep := TrainLoop(m, train, val, TrainOpts{
 		Epochs: 5, Batch: 2, LR: 0.1, Patience: 3, Seed: 1,
-		MaxRetries: 2, LRBackoff: 0.5, DivergeFactor: 50,
 	})
 	if rep.Retries != 2 {
 		t.Fatalf("retries=%d, want the full bound 2: %s", rep.Retries, rep)

@@ -237,9 +237,6 @@ func (s *Server) ModelName() string { return s.active.Load().name }
 // BreakerState exposes the breaker state for status endpoints and tests.
 func (s *Server) BreakerState() BreakerState { return s.breaker.State() }
 
-// Sessions returns the live session count.
-func (s *Server) Sessions() int { return s.sessions.len() }
-
 // Response is the wire form of a forecast answer.
 type Response struct {
 	Session string `json:"session"`
