@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 
@@ -25,7 +26,11 @@ func main() {
 
 	ops := spectrum.AllOperators()
 	if *opFlag != "all" {
-		ops = []spectrum.Operator{spectrum.Operator(*opFlag)}
+		op, err := spectrum.ParseOperator(*opFlag)
+		if err != nil {
+			log.Fatalf("unknown operator %q (want OpX, OpY, OpZ or all)", *opFlag)
+		}
+		ops = []spectrum.Operator{op}
 	}
 
 	fmt.Println("== Channel plans (paper Tables 2(a)/6) ==")

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -27,7 +28,7 @@ func main() {
 	csvPath := flag.String("csv", "", "write the trace as CSV to this path")
 	jsonPath := flag.String("json", "", "write the dataset as JSON to this path")
 	op := flag.String("op", "OpZ", "operator for dataset mode")
-	mob := flag.String("mobility", "driving", "walking or driving for dataset mode")
+	mob := flag.String("mobility", "driving", "stationary, walking or driving for dataset mode")
 	gran := flag.String("gran", "long", "short (10ms) or long (1s) for dataset mode")
 	flag.Parse()
 
@@ -62,15 +63,13 @@ func main() {
 			fmt.Println("\nwrote", *csvPath)
 		}
 	case "dataset":
-		g := sim.Long
-		if *gran == "short" {
-			g = sim.Short
+		o, errOp := spectrum.ParseOperator(*op)
+		m, errMob := mobility.ParseMobility(*mob)
+		g, errGran := sim.ParseGranularity(*gran)
+		if err := errors.Join(errOp, errMob, errGran); err != nil {
+			log.Fatal(err)
 		}
-		m := mobility.Driving
-		if *mob == "walking" {
-			m = mobility.Walking
-		}
-		spec := sim.SubDatasetSpec{Operator: spectrum.Operator(*op), Mobility: m, Gran: g}
+		spec := sim.SubDatasetSpec{Operator: o, Mobility: m, Gran: g}
 		ds := sim.Build(spec, sim.BuildOpts{Traces: 10, SamplesPerTrace: 450, Seed: *seed, Modem: ran.ModemX70})
 		fmt.Printf("built %s: %d traces, %d samples\n", ds.Name, len(ds.Traces), ds.NumSamples())
 		if *jsonPath != "" {

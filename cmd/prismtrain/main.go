@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -23,13 +24,21 @@ import (
 func main() {
 	model := flag.String("model", "Prism5G", "Prophet, LSTM, TCN, Lumos5G, GBDT, RF, Prism5G, Prism5G-NoState or Prism5G-NoFusion")
 	op := flag.String("op", "OpZ", "operator")
-	mob := flag.String("mobility", "driving", "walking or driving")
+	mob := flag.String("mobility", "driving", "stationary, walking or driving")
 	gran := flag.String("gran", "short", "short (10ms) or long (1s)")
 	quick := flag.Bool("quick", false, "use the small CI-sized configuration")
 	seed := flag.Uint64("seed", 42, "seed")
 	workers := flag.Int("workers", 0, "worker pool size: 0 = one per CPU, 1 = legacy serial; results are identical at any setting")
 	teleFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
+
+	o, errOp := spectrum.ParseOperator(*op)
+	m, errMob := mobility.ParseMobility(*mob)
+	g, errGran := sim.ParseGranularity(*gran)
+	if err := errors.Join(errOp, errMob, errGran); err != nil {
+		log.Fatal(err)
+	}
+	spec := sim.SubDatasetSpec{Operator: o, Mobility: m, Gran: g}
 
 	tele, err := teleFlags.Start()
 	if err != nil {
@@ -38,16 +47,6 @@ func main() {
 	if addr := tele.PprofAddr(); addr != "" {
 		fmt.Printf("pprof: http://%s/debug/pprof/\n", addr)
 	}
-
-	g := sim.Long
-	if *gran == "short" {
-		g = sim.Short
-	}
-	m := mobility.Driving
-	if *mob == "walking" {
-		m = mobility.Walking
-	}
-	spec := sim.SubDatasetSpec{Operator: spectrum.Operator(*op), Mobility: m, Gran: g}
 
 	if !experiments.IsKnownModel(*model) {
 		log.Fatalf("unknown model %q; known models: %s", *model, strings.Join(experiments.KnownModels(), ", "))

@@ -181,34 +181,12 @@ const (
 	DirUL = "ul"
 )
 
-// parseOperator maps an axis value to a spectrum operator.
-func parseOperator(s string) (spectrum.Operator, bool) {
-	for _, op := range spectrum.AllOperators() {
-		if string(op) == s {
-			return op, true
-		}
+// parses turns an axis value parser into checkAxis's known-value test.
+func parses[V any](parse func(string) (V, error)) func(string) bool {
+	return func(s string) bool {
+		_, err := parse(s)
+		return err == nil
 	}
-	return "", false
-}
-
-// parseMobility maps an axis value to a mobility pattern.
-func parseMobility(s string) (mobility.Mobility, bool) {
-	for _, m := range []mobility.Mobility{mobility.Stationary, mobility.Walking, mobility.Driving} {
-		if m.String() == s {
-			return m, true
-		}
-	}
-	return 0, false
-}
-
-// parseGranularity maps an axis value to a dataset granularity.
-func parseGranularity(s string) (sim.Granularity, bool) {
-	for _, g := range []sim.Granularity{sim.Short, sim.Long} {
-		if g.String() == s {
-			return g, true
-		}
-	}
-	return 0, false
 }
 
 // checkAxis rejects explicitly empty and duplicated axis values.
@@ -263,22 +241,13 @@ func (c *Config) Validate() error {
 		}
 	}
 	c.Normalize()
-	if err := checkAxis("axes.operators", c.Axes.Operators, func(s string) bool {
-		_, ok := parseOperator(s)
-		return ok
-	}, "operator"); err != nil {
+	if err := checkAxis("axes.operators", c.Axes.Operators, parses(spectrum.ParseOperator), "operator"); err != nil {
 		return err
 	}
-	if err := checkAxis("axes.mobilities", c.Axes.Mobilities, func(s string) bool {
-		_, ok := parseMobility(s)
-		return ok
-	}, "mobility"); err != nil {
+	if err := checkAxis("axes.mobilities", c.Axes.Mobilities, parses(mobility.ParseMobility), "mobility"); err != nil {
 		return err
 	}
-	if err := checkAxis("axes.granularities", c.Axes.Granularities, func(s string) bool {
-		_, ok := parseGranularity(s)
-		return ok
-	}, "granularity"); err != nil {
+	if err := checkAxis("axes.granularities", c.Axes.Granularities, parses(sim.ParseGranularity), "granularity"); err != nil {
 		return err
 	}
 	if c.Axes.Bands != nil && len(c.Axes.Bands) == 0 {

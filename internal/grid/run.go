@@ -12,10 +12,12 @@ import (
 	"time"
 
 	"prism5g/internal/experiments"
+	"prism5g/internal/mobility"
 	"prism5g/internal/obs"
 	"prism5g/internal/par"
 	"prism5g/internal/ran"
 	"prism5g/internal/sim"
+	"prism5g/internal/spectrum"
 	"prism5g/internal/stats"
 )
 
@@ -232,9 +234,9 @@ func emitGridProgress(name string, rep *Report, total int, t0 time.Time) {
 
 // runCell executes one cell's workload.
 func runCell(cfg *Config, c Cell) CellOutcome {
-	op, _ := parseOperator(c.Operator)
-	mob, _ := parseMobility(c.Mobility)
-	gran, _ := parseGranularity(c.Gran)
+	op, _ := spectrum.ParseOperator(c.Operator)
+	mob, _ := mobility.ParseMobility(c.Mobility)
+	gran, _ := sim.ParseGranularity(c.Gran)
 	spec := sim.SubDatasetSpec{Operator: op, Mobility: mob, Gran: gran}
 	ax := experiments.CellAxes{
 		Severity: c.Severity, Direction: direction(c.Direction), BandLock: c.Bands,

@@ -106,6 +106,16 @@ func (m Mobility) String() string {
 	}
 }
 
+// ParseMobility maps a pattern's exact String form to the pattern.
+func ParseMobility(s string) (Mobility, error) {
+	for _, m := range []Mobility{Stationary, Walking, Driving} {
+		if m.String() == s {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mobility %q (want stationary, walking or driving)", s)
+}
+
 // SpeedMps returns the nominal speed in meters/second for the pattern in a
 // scenario (beltway driving is faster than urban driving — the paper notes
 // CC changes every 16.1 s on highways vs 34.0 s in urban).

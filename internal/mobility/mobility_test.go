@@ -2,6 +2,7 @@ package mobility
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"prism5g/internal/rng"
@@ -194,5 +195,18 @@ func TestGridCell(t *testing.T) {
 	}
 	if FormatGrid(2, 3) != "2,3" {
 		t.Fatal("FormatGrid")
+	}
+}
+
+// TestParseMobility accepts every pattern by its exact String form and
+// rejects anything else with an error naming the accepted values.
+func TestParseMobility(t *testing.T) {
+	for _, m := range []Mobility{Stationary, Walking, Driving} {
+		if got, err := ParseMobility(m.String()); got != m || err != nil {
+			t.Fatalf("ParseMobility(%q) = %v, %v", m, got, err)
+		}
+	}
+	if _, err := ParseMobility("walk"); err == nil || !strings.Contains(err.Error(), "stationary, walking or driving") {
+		t.Fatalf("ParseMobility(\"walk\") error = %v", err)
 	}
 }

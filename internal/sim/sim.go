@@ -242,6 +242,17 @@ func (g Granularity) String() string {
 	return "long"
 }
 
+// ParseGranularity maps a granularity's exact String form to the
+// granularity.
+func ParseGranularity(s string) (Granularity, error) {
+	for _, g := range []Granularity{Short, Long} {
+		if g.String() == s {
+			return g, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown granularity %q (want short or long)", s)
+}
+
 // StepS returns the sampling interval of the granularity.
 func (g Granularity) StepS() float64 {
 	if g == Short {

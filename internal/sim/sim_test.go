@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"prism5g/internal/mobility"
@@ -449,5 +450,19 @@ func TestRecordStepAllocatesNothing(t *testing.T) {
 	// exactly the run's samples.
 	if allocs := testing.AllocsPerRun(r.Steps()-1, r.RecordStep); allocs != 0 {
 		t.Fatalf("RecordStep allocated %v times per step, want 0", allocs)
+	}
+}
+
+// TestParseGranularity accepts both granularities by their exact String
+// form and rejects anything else, such as a step length, with an error
+// naming the accepted values.
+func TestParseGranularity(t *testing.T) {
+	for _, g := range []Granularity{Short, Long} {
+		if got, err := ParseGranularity(g.String()); got != g || err != nil {
+			t.Fatalf("ParseGranularity(%q) = %v, %v", g, got, err)
+		}
+	}
+	if _, err := ParseGranularity("1s"); err == nil || !strings.Contains(err.Error(), "short or long") {
+		t.Fatalf("ParseGranularity(\"1s\") error = %v", err)
 	}
 }

@@ -103,6 +103,16 @@ const (
 // AllOperators lists the surveyed operators in the paper's order.
 func AllOperators() []Operator { return []Operator{OpX, OpY, OpZ} }
 
+// ParseOperator maps an operator's exact name to the operator.
+func ParseOperator(s string) (Operator, error) {
+	for _, op := range AllOperators() {
+		if string(op) == s {
+			return op, nil
+		}
+	}
+	return "", fmt.Errorf("unknown operator %q (want OpX, OpY or OpZ)", s)
+}
+
 // Plan is an operator's channel deployment plan: the concrete 4G and 5G
 // channels it has in the measured cities (paper Tables 2(a) and 6) and the
 // maximum number of CCs it aggregates per technology / frequency range.

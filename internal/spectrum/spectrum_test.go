@@ -253,3 +253,16 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestParseOperator accepts every operator by its exact name and rejects
+// anything else with an error naming the accepted values.
+func TestParseOperator(t *testing.T) {
+	for _, op := range AllOperators() {
+		if got, err := ParseOperator(string(op)); got != op || err != nil {
+			t.Fatalf("ParseOperator(%q) = %q, %v", op, got, err)
+		}
+	}
+	if _, err := ParseOperator("opz"); err == nil || !strings.Contains(err.Error(), "OpX, OpY or OpZ") {
+		t.Fatalf("ParseOperator(\"opz\") error = %v", err)
+	}
+}
