@@ -14,12 +14,13 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Short passes of every fuzzer (trace ingest, grid configs, serve request
-# decoding); CI-sized. CI runs this target, so a new fuzzer is listed here
-# only.
+# Short passes of every fuzzer (trace ingest, the sample wire codec, grid
+# configs, serve request decoding); CI-sized. CI runs this target, so a new
+# fuzzer is listed here only.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=20s ./internal/trace/
+	$(GO) test -run=^$$ -fuzz=FuzzCCJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGridConfig -fuzztime=20s ./internal/grid/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
 

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
+
+	"prism5g/internal/trace"
 )
 
 // Handler returns the server's route table:
@@ -56,14 +59,14 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		rt.outcome = "rejected"
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.reg.Add("serve.rejected_oversize", 1)
+			s.m.rejectedOversize.Add(1)
 			rt.reason = "oversize"
 			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
 			return
 		}
 		// Slow-loris bodies die here on the read deadline; the client
 		// never held anything but its own connection.
-		s.reg.Add("serve.rejected_body_read", 1)
+		s.m.rejectedBodyRead.Add(1)
 		rt.reason = "body_read"
 		http.Error(w, "body read failed", http.StatusBadRequest)
 		return
@@ -71,7 +74,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	req, err := DecodeRequest(body, s.cfg.MaxSamples)
 	rt.decodeS = time.Since(rt.start).Seconds()
 	if err != nil {
-		s.reg.Add("serve.rejected_malformed", 1)
+		s.m.rejectedMalformed.Add(1)
 		rt.outcome, rt.reason = "rejected", "malformed"
 		var re *RequestError
 		if errors.As(err, &re) {
@@ -209,9 +212,63 @@ func (s *Server) handleSwap(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, swapResponse{Old: old, New: req.Model, Drained: drained})
 }
 
+// writeJSON writes v as json.Encoder does. A forecast Response is
+// appended by hand to the same bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
+	if r, ok := v.(*Response); ok {
+		if b, ok := r.appendJSON(make([]byte, 0, 512)); ok {
+			w.Write(b) //nolint:errcheck // client gone; nothing to do
+			return
+		}
+	}
 	enc := json.NewEncoder(w)
 	enc.Encode(v) //nolint:errcheck // client gone; nothing to do
+}
+
+// appendJSON appends r and a newline, byte for byte what json.Encoder
+// writes for it. It reports false on a non-finite float, which json.Encoder
+// refuses with an error.
+func (r *Response) appendJSON(b []byte) ([]byte, bool) {
+	b = append(b, `{"session":`...)
+	b = trace.AppendJSONString(b, r.Session)
+	b = append(b, `,"model":`...)
+	b = trace.AppendJSONString(b, r.Model)
+	if r.Warmup {
+		b = append(b, `,"warmup":true`...)
+	}
+	if r.Need != 0 {
+		b = append(b, `,"need":`...)
+		b = strconv.AppendInt(b, int64(r.Need), 10)
+	}
+	finite := func(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+	if len(r.ForecastMbps) > 0 {
+		b = append(b, `,"forecast_mbps":[`...)
+		for i, v := range r.ForecastMbps {
+			if !finite(v) {
+				return b, false
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = trace.AppendJSONFloat(b, v)
+		}
+		b = append(b, ']')
+	}
+	if r.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	if r.Reason != "" {
+		b = append(b, `,"reason":`...)
+		b = trace.AppendJSONString(b, r.Reason)
+	}
+	if !finite(r.QueueWaitMs) || !finite(r.InferMs) {
+		return b, false
+	}
+	b = append(b, `,"queue_wait_ms":`...)
+	b = trace.AppendJSONFloat(b, r.QueueWaitMs)
+	b = append(b, `,"infer_ms":`...)
+	b = trace.AppendJSONFloat(b, r.InferMs)
+	return append(b, "}\n"...), true
 }

@@ -16,9 +16,9 @@
 //   - Circuit breaking: consecutive model failures (recovered panics,
 //     non-finite forecasts) trip a per-predictor breaker; while open, all
 //     traffic takes the fallback path, and a probe schedule half-opens it.
-//   - Bounded sessions: per-session memory is a fixed ring; idle sessions
-//     are evicted on a TTL and the session count is hard-capped with LRU
-//     eviction.
+//   - Bounded sessions: per-session memory is a fixed-length history; idle
+//     sessions are evicted on a TTL and the session count is hard-capped
+//     with LRU eviction.
 //   - Atomic hot-swap: POST /admin/swap installs a new predictor without
 //     dropping a request; the old model drains its in-flight calls first.
 //   - Graceful shutdown: Shutdown flips /readyz to 503, stops accepting,
@@ -193,6 +193,7 @@ type Server struct {
 	gate     *gate
 	sessions *sessionStore
 	reg      *obs.Registry
+	m        meters
 
 	ready    atomic.Bool
 	draining atomic.Bool
@@ -225,6 +226,7 @@ func New(name string, p predictors.Predictor, sc *trace.Scaler, cfg Config) *Ser
 		gate:     newGate(cfg.Concurrency, cfg.QueueCap),
 		sessions: newSessionStore(cfg.History, cfg.MaxSessions, cfg.Now, cfg.Reg),
 		reg:      cfg.Reg,
+		m:        newMeters(cfg.Reg),
 	}
 	s.active.Store(newModelSlot(name, p, cfg.Horizon))
 	s.ready.Store(true)
@@ -271,19 +273,15 @@ type inferOutcome struct {
 // rt's stage durations (queue wait, breaker, inference) and outcome, so
 // the handler can journal the full per-request decomposition.
 func (s *Server) forecast(ctx context.Context, req *Request, rt *reqTrace) (*Response, int) {
-	s.reg.Add("serve.requests", 1)
+	s.m.requests.Add(1)
 	rt.session = req.Session
-	sess := s.sessions.touch(req.Session)
-	sess.push(req.Samples)
-	samples, full := sess.snapshot()
+	w, n, full := s.sessions.touch(req.Session).push(req.Samples, s.scaler, s.wopts)
 	if !full {
-		s.reg.Add("serve.warmup", 1)
+		s.m.warmup.Add(1)
 		rt.outcome = "warmup"
 		return &Response{Session: req.Session, Model: s.active.Load().name,
-			Warmup: true, Need: s.cfg.History - len(samples)}, http.StatusOK
+			Warmup: true, Need: s.cfg.History - n}, http.StatusOK
 	}
-	tr := trace.Trace{Samples: samples}
-	w := trace.MakeWindow(&tr, 0, 0, s.scaler, s.wopts)
 
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.Deadline)
 	defer cancel()
@@ -292,7 +290,7 @@ func (s *Server) forecast(ctx context.Context, req *Request, rt *reqTrace) (*Res
 	rt.queueS = waited.Seconds()
 	switch res {
 	case admitShed:
-		s.reg.Add("serve.shed", 1)
+		s.m.shed.Add(1)
 		rt.outcome = "shed"
 		return nil, http.StatusTooManyRequests
 	case admitTimeout:
@@ -333,11 +331,11 @@ func (s *Server) forecast(ctx context.Context, req *Request, rt *reqTrace) (*Res
 	case out := <-done:
 		rt.inferS = out.inferS
 		if out.intervened {
-			s.reg.Add("serve.degraded_model_fault", 1)
+			s.m.degradedModelFault.Add(1)
 			rt.outcome, rt.reason = "degraded", "model_fault"
 			return s.respond(req, slot.name, out.y, true, "model_fault", waited, out.inferS, rt), http.StatusOK
 		}
-		s.reg.Add("serve.ok", 1)
+		s.m.ok.Add(1)
 		rt.outcome = "ok"
 		return s.respond(req, slot.name, out.y, false, "", waited, out.inferS, rt), http.StatusOK
 	case <-ctx.Done():
@@ -366,14 +364,16 @@ func (s *Server) acquireActive() *modelSlot {
 func (s *Server) degrade(req *Request, w trace.Window, reason string, waited time.Duration, rt *reqTrace) *Response {
 	switch reason {
 	case "timeout":
-		s.reg.Add("serve.degraded_timeout", 1)
+		s.m.degradedTimeout.Add(1)
 	case "breaker_open":
-		s.reg.Add("serve.degraded_breaker", 1)
+		s.m.degradedBreaker.Add(1)
 	case "invalid_input":
-		s.reg.Add("serve.degraded_input", 1)
+		s.m.degradedInput.Add(1)
 	}
 	rt.outcome, rt.reason = "degraded", reason
-	s.reg.Emit("serve.degraded", map[string]any{"session": req.Session, "reason": reason, "trace": rt.id})
+	if s.reg.Journal() != nil {
+		s.reg.Emit("serve.degraded", map[string]any{"session": req.Session, "reason": reason, "trace": rt.id})
+	}
 	return s.respond(req, s.active.Load().name, s.fallback.Predict(w), true, reason, waited, 0, rt)
 }
 
@@ -383,9 +383,9 @@ func (s *Server) respond(req *Request, model string, y []float64, degraded bool,
 	for i, v := range y {
 		mbps[i] = s.scaler.InvertTput(v)
 	}
-	s.reg.ObserveEx("serve.queue_wait_s", waited.Seconds(), rt.id)
+	s.m.queueWait.ObserveEx(waited.Seconds(), rt.id)
 	if inferS > 0 {
-		s.reg.ObserveEx("serve.infer_s", inferS, rt.id)
+		s.m.infer.ObserveEx(inferS, rt.id)
 	}
 	return &Response{
 		Session:      req.Session,

@@ -8,66 +8,63 @@ import (
 	"prism5g/internal/trace"
 )
 
-// session is one UE's sliding feature window: a fixed-capacity ring of the
-// most recent samples. Memory per session is bounded by the history length
-// at construction and never grows.
+// session is one UE's sliding feature window: its most recent samples in
+// time order, at most History of them. Memory per session is bounded by
+// the history length at construction and never grows.
 type session struct {
 	mu   sync.Mutex
-	buf  []trace.Sample // ring storage, len == capacity == history
-	head int            // index of the oldest sample
-	n    int            // number of valid samples (≤ len(buf))
+	hist []trace.Sample // time order; cap == History
+
+	// Guarded by the store's mutex: the session's key and its place on the
+	// recency list.
+	id         string
+	lastSeen   time.Time
+	prev, next *session // toward the most and the least recently touched
 }
 
-// push appends samples, overwriting the oldest once the ring is full.
-func (s *session) push(samples []trace.Sample) {
+// push appends samples, dropping the oldest beyond the history length, and
+// returns how many samples the session holds. Once the history is full it
+// also builds the scaled window over it. One lock acquisition covers both,
+// so an inference never races a later update, and nothing but the window
+// itself is copied out of the session.
+func (s *session) push(samples []trace.Sample, sc *trace.Scaler, wopts trace.WindowOpts) (trace.Window, int, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, sm := range samples {
-		if s.n < len(s.buf) {
-			s.buf[(s.head+s.n)%len(s.buf)] = sm
-			s.n++
-		} else {
-			s.buf[s.head] = sm
-			s.head = (s.head + 1) % len(s.buf)
+	h := cap(s.hist)
+	if len(samples) >= h {
+		s.hist = append(s.hist[:0], samples[len(samples)-h:]...)
+	} else {
+		if drop := len(s.hist) + len(samples) - h; drop > 0 {
+			s.hist = s.hist[:copy(s.hist, s.hist[drop:])]
 		}
+		s.hist = append(s.hist, samples...)
 	}
-}
-
-// snapshot returns the samples in time order and whether the ring holds a
-// full history. The copy means inference never races session updates.
-func (s *session) snapshot() ([]trace.Sample, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]trace.Sample, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.buf[(s.head+i)%len(s.buf)]
+	if len(s.hist) < h {
+		return trace.Window{}, len(s.hist), false
 	}
-	return out, s.n == len(s.buf)
-}
-
-// count returns the number of buffered samples.
-func (s *session) count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.n
+	tr := trace.Trace{Samples: s.hist}
+	return trace.MakeWindow(&tr, 0, 0, sc, wopts), h, true
 }
 
 // sessionStore owns every live session under two bounds: a hard cap on the
 // session count (inserting past it evicts the least-recently-used session)
 // and an idle TTL enforced by the janitor. Total memory is therefore
 // O(MaxSessions × History) regardless of how many distinct session IDs the
-// traffic invents.
+// traffic invents. Sessions sit on a list in touch order, so both kinds of
+// eviction take the least recently touched from its tail without a scan.
 //
 // Lock order: store.mu before session.mu, never the reverse.
 type sessionStore struct {
 	history int
 	max     int
 	now     func() time.Time
-	reg     *obs.Registry
 
-	mu       sync.Mutex
-	sessions map[string]*session
-	lastSeen map[string]time.Time
+	active                  *obs.Gauge
+	evictedLRU, evictedIdle *obs.Counter
+
+	mu         sync.Mutex
+	sessions   map[string]*session
+	head, tail *session // most and least recently touched
 }
 
 func newSessionStore(history, max int, now func() time.Time, reg *obs.Registry) *sessionStore {
@@ -81,67 +78,82 @@ func newSessionStore(history, max int, now func() time.Time, reg *obs.Registry) 
 		now = time.Now
 	}
 	return &sessionStore{
-		history:  history,
-		max:      max,
-		now:      now,
-		reg:      reg,
-		sessions: map[string]*session{},
-		lastSeen: map[string]time.Time{},
+		history:     history,
+		max:         max,
+		now:         now,
+		active:      reg.Gauge("serve.sessions_active"),
+		evictedLRU:  reg.Counter("serve.sessions_evicted_lru"),
+		evictedIdle: reg.Counter("serve.sessions_evicted_idle"),
+		sessions:    map[string]*session{},
 	}
 }
 
-// touch returns the session for id, creating it if needed, and refreshes
-// its recency. Creating past the cap evicts the least-recently-used
-// session so memory stays bounded under session-churn abuse.
+// touch returns the session for id, creating it if needed, and moves it to
+// the head of the recency list. Creating past the cap evicts the tail, the
+// least recently touched session, so memory stays bounded under
+// session-churn abuse.
 func (st *sessionStore) touch(id string) *session {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s, ok := st.sessions[id]
-	if !ok {
-		if len(st.sessions) >= st.max {
-			st.evictLRULocked()
+	if ok {
+		st.unlinkLocked(s)
+	} else {
+		if len(st.sessions) >= st.max && st.tail != nil {
+			st.removeLocked(st.tail)
+			st.evictedLRU.Add(1)
 		}
-		s = &session{buf: make([]trace.Sample, st.history)}
+		s = &session{id: id, hist: make([]trace.Sample, 0, st.history)}
 		st.sessions[id] = s
 	}
-	st.lastSeen[id] = st.now()
-	st.reg.Set("serve.sessions_active", float64(len(st.sessions)))
+	s.lastSeen = st.now()
+	s.prev, s.next = nil, st.head
+	if st.head != nil {
+		st.head.prev = s
+	} else {
+		st.tail = s
+	}
+	st.head = s
+	st.active.Set(float64(len(st.sessions)))
 	return s
 }
 
-// evictLRULocked removes the least-recently-seen session. Caller holds mu.
-func (st *sessionStore) evictLRULocked() {
-	var victim string
-	var oldest time.Time
-	first := true
-	for id, t := range st.lastSeen {
-		if first || t.Before(oldest) {
-			victim, oldest, first = id, t, false
-		}
+// unlinkLocked takes s off the recency list. Caller holds mu.
+func (st *sessionStore) unlinkLocked(s *session) {
+	if s.prev != nil {
+		s.prev.next = s.next
+	} else {
+		st.head = s.next
 	}
-	if !first {
-		delete(st.sessions, victim)
-		delete(st.lastSeen, victim)
-		st.reg.Add("serve.sessions_evicted_lru", 1)
+	if s.next != nil {
+		s.next.prev = s.prev
+	} else {
+		st.tail = s.prev
 	}
+	s.prev, s.next = nil, nil
 }
 
-// evictIdle removes sessions idle longer than ttl and returns how many.
+// removeLocked drops s from the store. Caller holds mu.
+func (st *sessionStore) removeLocked(s *session) {
+	st.unlinkLocked(s)
+	delete(st.sessions, s.id)
+}
+
+// evictIdle removes sessions idle longer than ttl and returns how many. It
+// walks from the tail and stops at the first session touched since the
+// cutoff.
 func (st *sessionStore) evictIdle(ttl time.Duration) int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cutoff := st.now().Add(-ttl)
 	evicted := 0
-	for id, t := range st.lastSeen {
-		if t.Before(cutoff) {
-			delete(st.sessions, id)
-			delete(st.lastSeen, id)
-			evicted++
-		}
+	for st.tail != nil && st.tail.lastSeen.Before(cutoff) {
+		st.removeLocked(st.tail)
+		evicted++
 	}
 	if evicted > 0 {
-		st.reg.Add("serve.sessions_evicted_idle", int64(evicted))
-		st.reg.Set("serve.sessions_active", float64(len(st.sessions)))
+		st.evictedIdle.Add(int64(evicted))
+		st.active.Set(float64(len(st.sessions)))
 	}
 	return evicted
 }

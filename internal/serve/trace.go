@@ -38,11 +38,14 @@ func (s *Server) newReqTrace() *reqTrace {
 // the full stage decomposition — the record `prismobs blame` consumes.
 func (s *Server) finishTrace(rt *reqTrace) {
 	totalS := time.Since(rt.start).Seconds()
-	s.reg.ObserveEx("serve.latency_s", totalS, rt.id)
-	s.reg.ObserveEx("serve.stage.decode_s", rt.decodeS, rt.id)
-	s.reg.ObserveEx("serve.stage.encode_s", rt.encodeS, rt.id)
+	s.m.latency.ObserveEx(totalS, rt.id)
+	s.m.stageDecode.ObserveEx(rt.decodeS, rt.id)
+	s.m.stageEncode.ObserveEx(rt.encodeS, rt.id)
 	if rt.inferS > 0 {
-		s.reg.ObserveEx("serve.stage.infer_s", rt.inferS, rt.id)
+		s.m.stageInfer.ObserveEx(rt.inferS, rt.id)
+	}
+	if s.reg.Journal() == nil {
+		return
 	}
 	s.reg.Emit("trace", map[string]any{
 		"trace":     rt.id,
@@ -56,4 +59,37 @@ func (s *Server) finishTrace(rt *reqTrace) {
 		"infer_s":   rt.inferS,
 		"encode_s":  rt.encodeS,
 	})
+}
+
+// meters are the request path's instruments, resolved once in New so a
+// request takes no registry lock. Instruments that never record stay out
+// of both /metrics expositions, as before.
+type meters struct {
+	requests, warmup, shed, ok                                          *obs.Counter
+	degradedTimeout, degradedBreaker, degradedInput, degradedModelFault *obs.Counter
+	rejectedOversize, rejectedBodyRead, rejectedMalformed               *obs.Counter
+
+	queueWait, infer, latency, stageDecode, stageEncode, stageInfer *obs.Histogram
+}
+
+func newMeters(reg *obs.Registry) meters {
+	return meters{
+		requests:           reg.Counter("serve.requests"),
+		warmup:             reg.Counter("serve.warmup"),
+		shed:               reg.Counter("serve.shed"),
+		ok:                 reg.Counter("serve.ok"),
+		degradedTimeout:    reg.Counter("serve.degraded_timeout"),
+		degradedBreaker:    reg.Counter("serve.degraded_breaker"),
+		degradedInput:      reg.Counter("serve.degraded_input"),
+		degradedModelFault: reg.Counter("serve.degraded_model_fault"),
+		rejectedOversize:   reg.Counter("serve.rejected_oversize"),
+		rejectedBodyRead:   reg.Counter("serve.rejected_body_read"),
+		rejectedMalformed:  reg.Counter("serve.rejected_malformed"),
+		queueWait:          reg.Histogram("serve.queue_wait_s"),
+		infer:              reg.Histogram("serve.infer_s"),
+		latency:            reg.Histogram("serve.latency_s"),
+		stageDecode:        reg.Histogram("serve.stage.decode_s"),
+		stageEncode:        reg.Histogram("serve.stage.encode_s"),
+		stageInfer:         reg.Histogram("serve.stage.infer_s"),
+	}
 }

@@ -61,7 +61,9 @@ type CC struct {
 // ccJSON mirrors CC with the feature vector as nullable floats so that
 // corrupted (NaN/Inf) sensor readings survive a JSON round-trip: non-finite
 // values encode as null and nulls decode back to NaN. encoding/json would
-// otherwise refuse to serialize a degraded trace at all.
+// otherwise refuse to serialize a degraded trace at all. It defines the
+// CC's wire form: AppendCC writes the bytes json.Marshal(ccJSON) would,
+// and UnmarshalJSON decodes through it whatever WireScanner declines.
 type ccJSON struct {
 	Present   bool
 	BandName  string
@@ -70,20 +72,20 @@ type ccJSON struct {
 	Vec       [NumCCFeatures]*float64
 }
 
-// MarshalJSON implements json.Marshaler.
+// MarshalJSON implements json.Marshaler with AppendCC.
 func (c CC) MarshalJSON() ([]byte, error) {
-	out := ccJSON{Present: c.Present, BandName: c.BandName, ChannelID: c.ChannelID, IsPCell: c.IsPCell}
-	for i := range c.Vec {
-		v := c.Vec[i]
-		if !math.IsNaN(v) && !math.IsInf(v, 0) {
-			out.Vec[i] = &c.Vec[i]
-		}
-	}
-	return json.Marshal(out)
+	return AppendCC(make([]byte, 0, 256), &c), nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. The canonical form goes
+// through WireScanner; anything it declines decodes through ccJSON.
 func (c *CC) UnmarshalJSON(b []byte) error {
+	sc := NewWireScanner(b)
+	var fast CC
+	if sc.CC(&fast); sc.Done() {
+		*c = fast
+		return nil
+	}
 	var in ccJSON
 	if err := json.Unmarshal(b, &in); err != nil {
 		return err
