@@ -94,3 +94,23 @@ func min(a, b int) int {
 	}
 	return b
 }
+
+// TestTrainRobustUnrepairedPerCCNaN trains Prism5G on a heavily degraded
+// campaign that skips repair. NaN sensor reads reach the per-carrier
+// throughput targets, which Prism5G's auxiliary loss backpropagates; the
+// window filter must drop those windows, so training converges instead of
+// exhausting its retries on NaN gradients.
+func TestTrainRobustUnrepairedPerCCNaN(t *testing.T) {
+	plan := prism5g.FaultPlanAtSeverity(1)
+	ds, _ := prism5g.GenerateFaultyDataset(prism5g.OpZ, prism5g.Driving, prism5g.Long, 7, &plan)
+	ds.Traces = ds.Traces[:4]
+	b := prism5g.Prepare(ds, 1)
+	cfg := prism5g.ModelConfig{Hidden: 8, Epochs: 6, Seed: 1}
+	res := prism5g.TrainRobust(prism5g.NewPrism5G(b, cfg), b)
+	if res.Report.Diverged {
+		t.Fatalf("training diverged on unrepaired data: %v", res.Report)
+	}
+	if v := res.Report.ValRMSE; math.IsNaN(v) || math.IsInf(v, 0) {
+		t.Fatalf("validation RMSE is %v", v)
+	}
+}
