@@ -82,8 +82,8 @@ func DecodeRequest(body []byte, maxSamples int) (*Request, error) {
 		if s.AggTput < 0 {
 			return nil, badRequest("samples[%d]: negative aggregate throughput %g", i, s.AggTput)
 		}
-		if s.NumActiveCCs < 0 || s.NumActiveCCs > trace.MaxCC {
-			return nil, badRequest("samples[%d]: active CC count %d outside [0, %d]", i, s.NumActiveCCs, trace.MaxCC)
+		if s.NumActiveCCs < 0 || s.NumActiveCCs > trace.MaxActiveCCs {
+			return nil, badRequest("samples[%d]: active CC count %d outside [0, %d]", i, s.NumActiveCCs, trace.MaxActiveCCs)
 		}
 	}
 	return req, nil

@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 
+	"prism5g/internal/mobility"
+	"prism5g/internal/ran"
+	"prism5g/internal/sim"
+	"prism5g/internal/spectrum"
 	"prism5g/internal/trace"
 )
 
@@ -46,6 +50,39 @@ func TestDecodeRequestNaNFeatureRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRequestDeepCA: the simulator records up to 8 active carriers
+// for OpX mmWave, and trace.Validate accepts them, so the API boundary
+// must too (only the top MaxCC carriers carry feature slots).
+func TestDecodeRequestDeepCA(t *testing.T) {
+	ds := sim.Build(sim.SubDatasetSpec{Operator: spectrum.OpX, Mobility: mobility.Driving, Gran: sim.Short},
+		sim.BuildOpts{Traces: 3, SamplesPerTrace: 240, Seed: 53, Modem: ran.ModemX70, Workers: 1})
+	if rep := ds.Validate(); !rep.OK() {
+		t.Fatalf("simulated OpX dataset fails validation: %v", rep.Err())
+	}
+	var deep *trace.Sample
+	for ti := range ds.Traces {
+		for i := range ds.Traces[ti].Samples {
+			if s := &ds.Traces[ti].Samples[i]; s.NumActiveCCs == 8 {
+				deep = s
+			}
+		}
+	}
+	if deep == nil {
+		t.Fatal("no 8-CC sample in the OpX driving build")
+	}
+	body, err := json.Marshal(Request{Session: "ue-mmw", Samples: []trace.Sample{*deep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeRequest(body, 64)
+	if err != nil {
+		t.Fatalf("8-CC OpX sample rejected: %v", err)
+	}
+	if got := req.Samples[0].NumActiveCCs; got != 8 {
+		t.Fatalf("decoded %d active CCs, want 8", got)
+	}
+}
+
 func TestDecodeRequestRejections(t *testing.T) {
 	cases := []struct {
 		name string
@@ -64,7 +101,7 @@ func TestDecodeRequestRejections(t *testing.T) {
 		{"overflow-tput", `{"session":"x","samples":[{"T":0,"AggTput":1e999}]}`},
 		{"negative-tput", `{"session":"x","samples":[{"T":0,"AggTput":-1}]}`},
 		{"overflow-time", `{"session":"x","samples":[{"T":1e999,"AggTput":1}]}`},
-		{"cc-count-high", `{"session":"x","samples":[{"T":0,"AggTput":1,"NumActiveCCs":12}]}`},
+		{"cc-count-high", `{"session":"x","samples":[{"T":0,"AggTput":1,"NumActiveCCs":17}]}`},
 		{"cc-count-negative", `{"session":"x","samples":[{"T":0,"AggTput":1,"NumActiveCCs":-1}]}`},
 	}
 	for _, tc := range cases {

@@ -149,9 +149,11 @@ func (r *ValidationReport) add(e *ValidationError) {
 // multiple of the nominal step.
 const DefaultGapFactor = 1.5
 
-// maxPlausibleCCs bounds NumActiveCCs: the deepest combos in the study are
-// 8CC mmWave; anything past 16 is corrupt data, not carrier aggregation.
-const maxPlausibleCCs = 16
+// MaxActiveCCs bounds NumActiveCCs wherever samples enter: the deepest
+// combos in the study are 8CC mmWave (more than the MaxCC feature slots,
+// which hold the top carriers); anything past 16 is corrupt data, not
+// carrier aggregation.
+const MaxActiveCCs = 16
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
@@ -230,7 +232,7 @@ func validateTrace(t *Trace, ti int, rep *ValidationReport) {
 			rep.add(&ValidationError{Kind: ErrRange, TraceIdx: ti, SampleIdx: i,
 				Field: "AggTput", Msg: fmt.Sprintf("negative aggregate throughput %v", s.AggTput)})
 		}
-		if s.NumActiveCCs < 0 || s.NumActiveCCs > maxPlausibleCCs {
+		if s.NumActiveCCs < 0 || s.NumActiveCCs > MaxActiveCCs {
 			rep.add(&ValidationError{Kind: ErrRange, TraceIdx: ti, SampleIdx: i,
 				Field: "NumActiveCCs", Msg: fmt.Sprintf("out of range: %d", s.NumActiveCCs)})
 		}
@@ -527,8 +529,8 @@ func (t *Trace) fixValues(opts RepairOpts, rep *RepairReport) {
 		if s.NumActiveCCs < 0 {
 			s.NumActiveCCs = 0
 			rep.Masks++
-		} else if s.NumActiveCCs > maxPlausibleCCs {
-			s.NumActiveCCs = maxPlausibleCCs
+		} else if s.NumActiveCCs > MaxActiveCCs {
+			s.NumActiveCCs = MaxActiveCCs
 			rep.Ranges++
 		}
 		activeSlots := 0

@@ -398,7 +398,7 @@ func TestReadJSONRepairsOutOfRangeMask(t *testing.T) {
 		t.Fatal("repair fixed nothing")
 	}
 	s := got.Traces[0].Samples
-	if s[3].NumActiveCCs > maxPlausibleCCs || s[5].NumActiveCCs < 0 {
+	if s[3].NumActiveCCs > MaxActiveCCs || s[5].NumActiveCCs < 0 {
 		t.Fatalf("masks not repaired: %d, %d", s[3].NumActiveCCs, s[5].NumActiveCCs)
 	}
 }
