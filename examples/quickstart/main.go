@@ -73,6 +73,6 @@ func main() {
 	fmt.Println("\nsample forecast (Mbps):")
 	for h := 0; h < 3; h++ {
 		fmt.Printf("  t+%d s: predicted %6.0f, actual %6.0f\n",
-			h+1, bundle.Scaler.InvertTput(pred[h]), bundle.Scaler.InvertTput(w.Y[h]))
+			h+1, bundle.Scaler.InvertTput(pred[h]), bundle.Scaler.InvertTput(w.Y()[h]))
 	}
 }

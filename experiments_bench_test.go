@@ -13,6 +13,7 @@ import (
 	"prism5g/internal/mobility"
 	"prism5g/internal/sim"
 	"prism5g/internal/spectrum"
+	"prism5g/internal/trace"
 )
 
 // benchMLConfig picks the learning-experiment scale.
@@ -35,7 +36,7 @@ func BenchmarkTable3_FeatureSchema(b *testing.B) {
 		prob := experiments.BuildProblem(spec, cfg)
 		printRows("Table 3/12: ML feature schema", fmt.Sprintf(
 			"dataset %s: %d windows, per-CC features x%d slots + aggregate history\n",
-			prob.Spec.Name(), len(prob.Windows), len(prob.Windows[0].X)))
+			prob.Spec.Name(), len(prob.Windows), trace.MaxCC))
 	}
 }
 

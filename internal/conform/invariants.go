@@ -409,7 +409,7 @@ func checkHarmonicMeanBound(c *Ctx) []Violation {
 	}
 	hm := &predictors.HarmonicMean{Horizon: 5}
 	for hi, hist := range histories {
-		pred := hm.Predict(trace.Window{AggHist: hist, Y: make([]float64, 5)})
+		pred := hm.Predict(historyWindow(hist, 5))
 		// The arithmetic mean over the same sanitized view.
 		var sum float64
 		n := 0

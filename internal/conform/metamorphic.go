@@ -208,6 +208,14 @@ func checkSeedShift(c *Ctx) []Violation {
 	return out
 }
 
+// historyWindow is a hand-built window carrying only the aggregate
+// throughput history, the one input HarmonicMean reads.
+func historyWindow(hist []float64, horizon int) trace.Window {
+	w := trace.NewWindow(len(hist), horizon)
+	copy(w.AggHist(), hist)
+	return w
+}
+
 // checkScalingHomogeneity: the harmonic-mean baseline is a degree-1
 // homogeneous function of its history — scaling the input scales the
 // forecast by the same factor.
@@ -216,13 +224,13 @@ func checkScalingHomogeneity(c *Ctx) []Violation {
 	var out []Violation
 	base := []float64{120, 80, 200, 150, 60, 90, 110, 140, 70, 100}
 	hm := &predictors.HarmonicMean{Horizon: 3}
-	ref := hm.Predict(trace.Window{AggHist: base, Y: make([]float64, 3)})
+	ref := hm.Predict(historyWindow(base, 3))
 	for _, k := range []float64{0.5, 2, 10} {
 		scaled := make([]float64, len(base))
 		for i, v := range base {
 			scaled[i] = k * v
 		}
-		got := hm.Predict(trace.Window{AggHist: scaled, Y: make([]float64, 3)})
+		got := hm.Predict(historyWindow(scaled, 3))
 		for i := range got {
 			want := k * ref[i]
 			if math.Abs(got[i]-want) > 1e-9*math.Max(1, math.Abs(want)) {

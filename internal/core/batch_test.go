@@ -32,37 +32,26 @@ func perCarrierTwin(p *Prism5G) *Prism5G {
 // ablation reads) and, on the last slot, a pending-SCell event.
 func refWindow(src *rng.Source, T, active int) trace.Window {
 	const hz = 10
-	w := trace.Window{
-		X:       make([][][]float64, trace.MaxCC),
-		Mask:    make([][]float64, trace.MaxCC),
-		AggHist: make([]float64, T),
-		Y:       make([]float64, hz),
-		YPerCC:  make([][]float64, trace.MaxCC),
-	}
+	w := trace.NewWindow(T, hz)
 	for c := 0; c < trace.MaxCC; c++ {
-		w.X[c] = make([][]float64, T)
-		w.Mask[c] = make([]float64, T)
-		w.YPerCC[c] = make([]float64, hz)
 		for t := 0; t < T; t++ {
-			v := make([]float64, trace.NumCCFeatures)
+			v := w.Feat(c, t)
 			for f := trace.FBWMHz; f < trace.NumCCFeatures; f++ {
 				v[f] = src.Float64() - 0.3
 			}
 			if c < active {
-				w.Mask[c][t] = 1
 				v[trace.FActive] = 1
 			} else if c == trace.MaxCC-1 && t >= T-3 {
 				v[trace.FEvent] = 1
 			}
-			w.X[c][t] = v
 		}
-		for h := range w.YPerCC[c] {
-			w.YPerCC[c][h] = src.Float64()
-			w.Y[h] += w.YPerCC[c][h]
+		for h := range w.YPerCC(c) {
+			w.YPerCC(c)[h] = src.Float64()
+			w.Y()[h] += w.YPerCC(c)[h]
 		}
 	}
-	for t := range w.AggHist {
-		w.AggHist[t] = src.Float64()
+	for t := range w.AggHist() {
+		w.AggHist()[t] = src.Float64()
 	}
 	return w
 }

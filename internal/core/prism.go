@@ -243,10 +243,7 @@ func (p *Prism5G) Params() []*nn.Param {
 // signaled by a recent RRC event (the event channel leads activation, which
 // is what lets the model react at transitions before throughput moves).
 func gate(w trace.Window, c, t int) float64 {
-	if w.Mask[c][t] > 0 {
-		return 1
-	}
-	if w.X[c][t][trace.FEvent] != 0 {
+	if f := w.Feat(c, t); f[trace.FActive] > 0 || f[trace.FEvent] != 0 {
 		return 1
 	}
 	return 0
@@ -285,7 +282,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 		for t := 0; t < T; t++ {
 			for c := 0; c < C; c++ {
 				if !gatedOff(c, t) {
-					copy(X[(t*C+c)*F:(t*C+c+1)*F], w.X[c][t])
+					copy(X[(t*C+c)*F:(t*C+c+1)*F], w.Feat(c, t))
 				}
 			}
 		}
@@ -297,7 +294,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 		seq := s.ar.Rows(T)
 		for c := 0; c < C; c++ {
 			for t := range seq {
-				seq[t] = w.X[c][t]
+				seq[t] = w.Feat(c, t)
 				if gatedOff(c, t) {
 					seq[t] = zeroFeat
 				}
@@ -349,7 +346,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 	// --- Backward ---
 	// Aggregate loss gradient reaches every head equally; auxiliary
 	// per-CC loss adds a direct term.
-	gAgg := nn.MSEGradInto(s.ar.Floats(p.Opts.Horizon), ypred, w.Y)
+	gAgg := nn.MSEGradInto(s.ar.Floats(p.Opts.Horizon), ypred, w.Y())
 	ghf := s.ar.Floats(H)
 	ghLast := s.ar.Floats(C * H) // dL/dh_c, carrier after carrier
 	gyc := s.ar.Floats(p.Opts.Horizon)
@@ -359,7 +356,7 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 			gyc[h] = gAgg[h] * gScale
 		}
 		if p.Opts.PerCCLossWeight > 0 {
-			nn.MSEGradInto(gaux, ycs[c], w.YPerCC[c])
+			nn.MSEGradInto(gaux, ycs[c], w.YPerCC(c))
 			for h := range gyc {
 				gyc[h] += p.Opts.PerCCLossWeight * gScale * gaux[h] / float64(C)
 			}

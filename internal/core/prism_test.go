@@ -15,21 +15,11 @@ import (
 func synthWindow(seed uint64) trace.Window {
 	src := rng.New(seed)
 	T, H := 10, 10
-	w := trace.Window{
-		X:       make([][][]float64, trace.MaxCC),
-		Mask:    make([][]float64, trace.MaxCC),
-		AggHist: make([]float64, T),
-		Y:       make([]float64, H),
-		YPerCC:  make([][]float64, trace.MaxCC),
-	}
+	w := trace.NewWindow(T, H)
 	for c := 0; c < trace.MaxCC; c++ {
-		w.X[c] = make([][]float64, T)
-		w.Mask[c] = make([]float64, T)
-		w.YPerCC[c] = make([]float64, H)
 		for t := 0; t < T; t++ {
-			vec := make([]float64, trace.NumCCFeatures)
+			vec := w.Feat(c, t)
 			if c < 2 {
-				w.Mask[c][t] = 1
 				vec[trace.FActive] = 1
 				for f := trace.FBWMHz; f < trace.NumCCFeatures; f++ {
 					vec[f] = src.Float64()
@@ -40,22 +30,21 @@ func synthWindow(seed uint64) trace.Window {
 				vec[trace.FRSRP] = 0.7
 				vec[trace.FBWMHz] = 0.4
 			}
-			w.X[c][t] = vec
 		}
 		for h := 0; h < H; h++ {
 			if c < 2 {
-				w.YPerCC[c][h] = 0.25 + 0.05*float64(c)
+				w.YPerCC(c)[h] = 0.25 + 0.05*float64(c)
 			}
 			if c == 2 {
-				w.YPerCC[c][h] = 0.15 // the pending SCell ramps up
+				w.YPerCC(c)[h] = 0.15 // the pending SCell ramps up
 			}
 		}
 	}
 	for t := 0; t < T; t++ {
-		w.AggHist[t] = 0.5 + 0.02*src.Norm()
+		w.AggHist()[t] = 0.5 + 0.02*src.Norm()
 	}
 	for h := 0; h < H; h++ {
-		w.Y[h] = w.YPerCC[0][h] + w.YPerCC[1][h] + w.YPerCC[2][h]
+		w.Y()[h] = w.YPerCC(0)[h] + w.YPerCC(1)[h] + w.YPerCC(2)[h]
 	}
 	return w
 }
@@ -103,12 +92,12 @@ func TestPrismGradients(t *testing.T) {
 	w := synthWindow(2)
 	loss := func() float64 {
 		y := p.forward(w, 0, nil)
-		l := nn.MSE(y, w.Y)
+		l := nn.MSE(y, w.Y())
 		if p.Opts.PerCCLossWeight > 0 {
 			per := p.PredictPerCC(w)
 			aux := 0.0
 			for c := 0; c < trace.MaxCC; c++ {
-				aux += nn.MSE(per[c], w.YPerCC[c])
+				aux += nn.MSE(per[c], w.YPerCC(c))
 			}
 			l += p.Opts.PerCCLossWeight * aux / trace.MaxCC
 		}
@@ -147,8 +136,8 @@ func TestPrismMaskGating(t *testing.T) {
 	y1 := p.Predict(w)
 	// Perturb slot 3 (absent: mask 0, no event).
 	for tstep := 0; tstep < 10; tstep++ {
-		w.X[3][tstep][trace.FRSRP] = 0.9
-		w.X[3][tstep][trace.FTput] = 0.9
+		w.Feat(3, tstep)[trace.FRSRP] = 0.9
+		w.Feat(3, tstep)[trace.FTput] = 0.9
 	}
 	y2 := p.Predict(w)
 	for i := range y1 {
@@ -161,7 +150,7 @@ func TestPrismMaskGating(t *testing.T) {
 	w2 := synthWindow(3)
 	z1 := ns.Predict(w2)
 	for tstep := 0; tstep < 10; tstep++ {
-		w2.X[3][tstep][trace.FRSRP] = 0.9
+		w2.Feat(3, tstep)[trace.FRSRP] = 0.9
 	}
 	z2 := ns.Predict(w2)
 	diff := false
@@ -182,7 +171,7 @@ func TestPrismEventVisibleThroughGate(t *testing.T) {
 	w := synthWindow(4)
 	y1 := p.Predict(w)
 	for tstep := 7; tstep < 10; tstep++ {
-		w.X[2][tstep][trace.FEvent] = 0 // erase the pending event
+		w.Feat(2, tstep)[trace.FEvent] = 0 // erase the pending event
 	}
 	y2 := p.Predict(w)
 	diff := false
@@ -230,13 +219,13 @@ func synthProblem(seed uint64) (train, val, test []trace.Window) {
 		// Vary the target so there is something to learn: scale by the
 		// window's mean history.
 		m := 0.0
-		for _, v := range w.AggHist {
-			m += v / float64(len(w.AggHist))
+		for _, v := range w.AggHist() {
+			m += v / float64(len(w.AggHist()))
 		}
-		for h := range w.Y {
-			w.Y[h] = m * 0.9
+		for h := range w.Y() {
+			w.Y()[h] = m * 0.9
 			for c := 0; c < trace.MaxCC; c++ {
-				w.YPerCC[c][h] = m * 0.3
+				w.YPerCC(c)[h] = m * 0.3
 			}
 		}
 		ws = append(ws, w)
@@ -278,7 +267,7 @@ func TestPrismGRUBackbone(t *testing.T) {
 	// The GRU variant must also pass the full-model gradient check.
 	loss := func() float64 {
 		yv := p.forward(w, 0, nil)
-		return nn.MSE(yv, w.Y)
+		return nn.MSE(yv, w.Y())
 	}
 	save := p.Opts.PerCCLossWeight
 	p.Opts.PerCCLossWeight = 0

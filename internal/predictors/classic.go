@@ -44,7 +44,7 @@ func (p *ProphetPredictor) Train(train, val []trace.Window) TrainReport {
 // neural baselines see (the paper grants it the same advantage).
 func (p *ProphetPredictor) Predict(w trace.Window) []float64 {
 	tr := &p.DS.Traces[w.TraceIdx]
-	histEnd := w.Start + len(w.AggHist)
+	histEnd := w.Start + len(w.AggHist())
 	series := make([]float64, histEnd)
 	// Prophet works on the scaled series so RMSEs are comparable; the
 	// aggregate scale is recovered from the window itself.
@@ -54,7 +54,7 @@ func (p *ProphetPredictor) Predict(w trace.Window) []float64 {
 	// Scale using the window's own scaled history as the reference:
 	// derive the affine map from raw to scaled via two distinct points,
 	// falling back to raw forecasting when degenerate.
-	horizon := len(w.Y)
+	horizon := len(w.Y())
 	raw := ml.Forecast(series, horizon, p.Opts)
 	a, b, ok := affineFromWindow(tr, w)
 	if !ok {
@@ -72,7 +72,7 @@ func (p *ProphetPredictor) Predict(w trace.Window) []float64 {
 func affineFromWindow(tr *trace.Trace, w trace.Window) (a, b float64, ok bool) {
 	var x1, y1 float64
 	found1 := false
-	for i, ys := range w.AggHist {
+	for i, ys := range w.AggHist() {
 		xr := tr.Samples[w.Start+i].AggTput
 		if !found1 {
 			x1, y1 = xr, ys
@@ -146,7 +146,7 @@ func (p *TreePredictor) Train(train, val []trace.Window) TrainReport {
 	for h := 0; h < p.Horizon; h++ {
 		y := make([]float64, len(train))
 		for i, w := range train {
-			y[i] = w.Y[h]
+			y[i] = w.Y()[h]
 		}
 		if p.Kind == KindRF {
 			opts := ml.DefaultForestOpts()
@@ -207,8 +207,9 @@ const hmFloor = 1e-6
 // link was down three quarters of the time; flooring drags the estimate
 // toward zero, which is what MPC's conservative estimator is for.
 func (p *HarmonicMean) Predict(w trace.Window) []float64 {
-	hist := make([]float64, 0, len(w.AggHist))
-	for _, v := range w.AggHist {
+	agg := w.AggHist()
+	hist := make([]float64, 0, len(agg))
+	for _, v := range agg {
 		switch {
 		case math.IsNaN(v) || math.IsInf(v, 0):
 			continue

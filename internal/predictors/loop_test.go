@@ -54,7 +54,7 @@ func runDigest(ps []*nn.Param, rep TrainReport) string {
 func poisonedProblem(t *testing.T) (train, val []trace.Window) {
 	_, _, tr, va, _ := problem(t, 31)
 	poison := mkWindow(10, 10, 0.5)
-	poison.AggHist[3] = math.NaN()
+	poison.AggHist()[3] = math.NaN()
 	train = append(append(append([]trace.Window{}, tr[:50]...), poison), tr[50:]...)
 	val = append(append(append([]trace.Window{}, va[:20]...), poison), va[20:]...)
 	return train, val

@@ -85,12 +85,12 @@ func (p *LSTMPredictor) ForwardBackwardBatch(ws []trace.Window, gScale float64) 
 // returned predictions are views into s.
 func (p *LSTMPredictor) forwardBackward(s *lstmScratch, ws []trace.Window, gScale float64) [][]float64 {
 	b := len(ws)
-	T := len(ws[0].AggHist)
+	T := len(ws[0].AggHist())
 	s.ar.Reset()
 	// Gather features step-major: step t, sample si at X[(t*b+si)*dim].
 	X := s.ar.Floats(T * b * AggFeatureDim)
 	for si, w := range ws {
-		if len(w.AggHist) != T {
+		if len(w.AggHist()) != T {
 			panic("predictors: LSTM minibatch windows differ in history length")
 		}
 		for t := 0; t < T; t++ {
@@ -108,7 +108,7 @@ func (p *LSTMPredictor) forwardBackward(s *lstmScratch, ws []trace.Window, gScal
 	if gScale > 0 {
 		G := s.ar.Floats(b * out)
 		for si, w := range ws {
-			g := nn.MSEGradInto(G[si*out:(si+1)*out], ys[si], w.Y)
+			g := nn.MSEGradInto(G[si*out:(si+1)*out], ys[si], w.Y())
 			for i := range g {
 				g[i] *= gScale
 			}
@@ -176,7 +176,7 @@ func (p *TCNPredictor) ForwardBackward(w trace.Window, gScale float64) []float64
 	last := out[len(out)-1]
 	y := p.head.Forward(last)
 	if gScale > 0 {
-		g := nn.MSEGradInto(s.ar.Floats(len(y)), y, w.Y)
+		g := nn.MSEGradInto(s.ar.Floats(len(y)), y, w.Y())
 		for i := range g {
 			g[i] *= gScale
 		}
@@ -239,12 +239,13 @@ func (p *Lumos5G) ForwardBackward(w trace.Window, gScale float64) []float64 {
 	s := p.pool.Get().(*lumosScratch)
 	s.ar.Reset()
 	seq := aggFeaturesInto(&s.ar, w)
-	histLast := w.AggHist[len(w.AggHist)-1]
+	hist := w.AggHist()
+	histLast := hist[len(hist)-1]
 	var y []float64
 	if gScale > 0 {
 		// Teacher forcing during training.
-		y = p.s2s.ForwardTape(&s.tape, seq, histLast, w.Y)
-		g := nn.MSEGradInto(s.ar.Floats(len(y)), y, w.Y)
+		y = p.s2s.ForwardTape(&s.tape, seq, histLast, w.Y())
+		g := nn.MSEGradInto(s.ar.Floats(len(y)), y, w.Y())
 		for i := range g {
 			g[i] *= gScale
 		}

@@ -97,8 +97,9 @@ func persistenceRMSE(ws []trace.Window) float64 {
 	var se float64
 	n := 0
 	for _, w := range ws {
-		last := w.AggHist[len(w.AggHist)-1]
-		for _, y := range w.Y {
+		hist := w.AggHist()
+		last := hist[len(hist)-1]
+		for _, y := range w.Y() {
 			se += (last - y) * (last - y)
 			n++
 		}
@@ -118,7 +119,7 @@ func TestAggFeaturesShape(t *testing.T) {
 	}
 	// CA-blindness: the baseline features must not contain the event
 	// channel or per-SCell data. Feature 0 is the aggregate history.
-	if f[0][0] != train[0].AggHist[0] {
+	if f[0][0] != train[0].AggHist()[0] {
 		t.Fatal("feature 0 should be aggregate history")
 	}
 }

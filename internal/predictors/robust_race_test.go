@@ -27,7 +27,7 @@ func (f *flaky) Predict(w trace.Window) []float64 {
 	if n%3 == 0 {
 		panic("flaky predict")
 	}
-	out := make([]float64, len(w.Y))
+	out := make([]float64, len(w.Y()))
 	for i := range out {
 		out[i] = 0.5
 	}

@@ -11,7 +11,9 @@ import (
 // hmWindow builds a bare window carrying only the throughput history
 // HarmonicMean reads.
 func hmWindow(hist ...float64) trace.Window {
-	return trace.Window{AggHist: hist}
+	w := trace.NewWindow(len(hist), 0)
+	copy(w.AggHist(), hist)
+	return w
 }
 
 // TestHarmonicMeanOutageWindow is the regression for the zero-handling

@@ -81,7 +81,7 @@ func (p *stub) Predict(w trace.Window) []float64 {
 	if p.panics.Load() {
 		panic("stub exploded")
 	}
-	out := make([]float64, len(w.Y))
+	out := make([]float64, len(w.Y()))
 	for i := range out {
 		out[i] = 0.42
 	}

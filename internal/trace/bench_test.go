@@ -47,8 +47,8 @@ func BenchmarkRepair(b *testing.B) {
 	b.ReportMetric(float64(4*b.N)/b.Elapsed().Seconds(), "traces/s")
 }
 
-// BenchmarkWindows measures the bulk slab-backed window builder — the path
-// every experiment and training run goes through. windows/s is one of the
+// BenchmarkWindows measures the bulk window builder — the path every
+// experiment and training run goes through. windows/s is one of the
 // tracked headline throughput numbers (see BENCH_obs.json).
 func BenchmarkWindows(b *testing.B) {
 	d := makeDataset(8, 400)
@@ -68,7 +68,7 @@ func BenchmarkWindows(b *testing.B) {
 }
 
 // BenchmarkMakeWindow measures the single-window online path (serving-time
-// extraction), which carves each window from an exact-size mini-slab.
+// extraction), which scales only the samples its window covers.
 func BenchmarkMakeWindow(b *testing.B) {
 	d := makeDataset(1, 400)
 	var sc Scaler

@@ -123,41 +123,35 @@ func TestWindowsShapeAndContent(t *testing.T) {
 		t.Fatalf("windows = %d", len(ws))
 	}
 	w := ws[0]
-	if len(w.X) != MaxCC || len(w.X[0]) != 10 || len(w.X[0][0]) != NumCCFeatures {
-		t.Fatal("X shape wrong")
+	if len(w.Feat(MaxCC-1, 9)) != NumCCFeatures {
+		t.Fatal("feature row shape wrong")
 	}
-	if len(w.Mask) != MaxCC || len(w.Mask[0]) != 10 {
-		t.Fatal("Mask shape wrong")
-	}
-	if len(w.AggHist) != 10 || len(w.Y) != 10 {
+	if len(w.AggHist()) != 10 || len(w.Y()) != 10 || len(w.YPerCC(0)) != 10 {
 		t.Fatal("history/target shape wrong")
 	}
 	// Present CCs have active mask 1; absent slots all zero.
-	if w.Mask[0][0] != 1 || w.Mask[1][0] != 1 {
+	if w.Feat(0, 0)[FActive] != 1 || w.Feat(1, 0)[FActive] != 1 {
 		t.Fatal("present CC mask should be 1")
 	}
-	if w.Mask[2][0] != 0 || w.Mask[3][0] != 0 {
+	if w.Feat(2, 0)[FActive] != 0 || w.Feat(3, 0)[FActive] != 0 {
 		t.Fatal("absent CC mask should be 0")
 	}
 	for f := 0; f < NumCCFeatures; f++ {
-		if w.X[3][0][f] != 0 {
+		if w.Feat(3, 0)[f] != 0 {
 			t.Fatal("absent CC features should be zero")
 		}
 	}
 	// Target is the scaled future aggregate: window 0 history covers
 	// samples 0..9, so Y[0] corresponds to sample 10 (tput 110).
 	want := sc.ScaleTput(110)
-	if math.Abs(w.Y[0]-want) > 1e-9 {
-		t.Fatalf("Y[0] = %f, want %f", w.Y[0], want)
+	if math.Abs(w.Y()[0]-want) > 1e-9 {
+		t.Fatalf("Y[0] = %f, want %f", w.Y()[0], want)
 	}
-	// Per-CC future sums to aggregate (2 CCs at half each).
-	got := sc.InvertTput(w.YPerCC[0][0]) + sc.InvertTput(w.YPerCC[1][0])
 	// Inverting per-CC halves individually double-counts the offset;
 	// check each CC is half of 110 instead.
-	if math.Abs(sc.InvertTput(w.YPerCC[0][0])-55) > 1e-9 {
-		t.Fatalf("per-CC future = %f, want 55", sc.InvertTput(w.YPerCC[0][0]))
+	if math.Abs(sc.InvertTput(w.YPerCC(0)[0])-55) > 1e-9 {
+		t.Fatalf("per-CC future = %f, want 55", sc.InvertTput(w.YPerCC(0)[0]))
 	}
-	_ = got
 }
 
 func TestWindowsStride(t *testing.T) {
