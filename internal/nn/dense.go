@@ -56,11 +56,19 @@ func (d *Dense) BackwardInto(gx, x, gy []float64) []float64 {
 // is the n*In forward input, GY the n*Out output gradient) and writes the
 // input gradients into GX (n*In, zeroed first). Per gradient element the
 // samples accumulate in ascending batch order — exactly the order n
-// successive one-row calls use.
+// successive one-row calls use — and each sample's input gradient sums the
+// output rows in ascending order. A zero output gradient adds nothing.
 func (d *Dense) BackwardBatch(GX, X, GY []float64, n int) {
 	clear(GX)
-	AccumGradNT(d.W.Grad, d.B.Grad, GY, n, d.Out, X, d.In)
-	AccumInputGradNT(GX, GY, n, d.Out, d.W.W, d.In)
+	for i := 0; i < n; i++ {
+		gy := GY[i*d.Out : (i+1)*d.Out]
+		for o, g := range gy {
+			if g != 0 {
+				d.B.Grad[o] += g
+			}
+		}
+		accumRows(d.W.Grad, GX[i*d.In:(i+1)*d.In], d.W.W, X[i*d.In:(i+1)*d.In], gy, gy, d.Out, 1, d.In)
+	}
 }
 
 // MLP is a stack of dense layers with ReLU between them (none after the

@@ -117,77 +117,33 @@ func (g *GRU) Backward(tape *GRUTape, gh [][]float64) [][]float64 {
 		} else {
 			hPrev = tape.h[t-1]
 		}
-		daz := ar.Floats(H)
-		dar := ar.Floats(H)
-		dan := ar.Floats(H)
+		// da holds the preactivation gradients in the weights' row order
+		// (z, r, n); dah is da with the n rows times r, the factor the
+		// candidate's Un·hPrev term carries: a_n = Wn x + b + r ⊙ (Un hPrev).
+		da := ar.Floats(3 * H)
+		dah := ar.Floats(3 * H)
 		dhPrev := ar.Floats(H)
 		for h := 0; h < H; h++ {
 			dz := dh[h] * (hPrev[h] - nv[h])
 			dn := dh[h] * (1 - zv[h])
 			dhPrev[h] += dh[h] * zv[h]
-			dan[h] = dn * (1 - nv[h]*nv[h])
-			dr := dan[h] * uh[h]
-			daz[h] = dz * zv[h] * (1 - zv[h])
-			dar[h] = dr * rv[h] * (1 - rv[h])
+			dan := dn * (1 - nv[h]*nv[h])
+			dr := dan * uh[h]
+			da[h] = dz * zv[h] * (1 - zv[h])
+			da[H+h] = dr * rv[h] * (1 - rv[h])
+			da[2*H+h] = dan
+			dah[h], dah[H+h], dah[2*H+h] = da[h], da[H+h], dan*rv[h]
 		}
+		for row, d := range da {
+			if d != 0 {
+				g.B.Grad[row] += d
+			}
+		}
+		// Rows run hidden unit first, then gate; an n row with a nonzero
+		// dan runs its Un half even where dan*r is zero.
 		gx := ar.Floats(In)
-		x := tape.xs[t]
-		for h := 0; h < H; h++ {
-			// z gate.
-			if daz[h] != 0 {
-				row := h
-				g.B.Grad[row] += daz[h]
-				w := g.Wx.W[row*In : (row+1)*In]
-				gw := g.Wx.Grad[row*In : (row+1)*In]
-				for k, xv := range x {
-					gw[k] += daz[h] * xv
-					gx[k] += daz[h] * w[k]
-				}
-				hw := g.Wh.W[row*H : (row+1)*H]
-				hgw := g.Wh.Grad[row*H : (row+1)*H]
-				for k, hp := range hPrev {
-					hgw[k] += daz[h] * hp
-					dhPrev[k] += daz[h] * hw[k]
-				}
-			}
-			// r gate.
-			if dar[h] != 0 {
-				row := H + h
-				g.B.Grad[row] += dar[h]
-				w := g.Wx.W[row*In : (row+1)*In]
-				gw := g.Wx.Grad[row*In : (row+1)*In]
-				for k, xv := range x {
-					gw[k] += dar[h] * xv
-					gx[k] += dar[h] * w[k]
-				}
-				hw := g.Wh.W[row*H : (row+1)*H]
-				hgw := g.Wh.Grad[row*H : (row+1)*H]
-				for k, hp := range hPrev {
-					hgw[k] += dar[h] * hp
-					dhPrev[k] += dar[h] * hw[k]
-				}
-			}
-			// n candidate: a_n = Wn x + b + r * (Un hPrev).
-			if dan[h] != 0 {
-				row := 2*H + h
-				g.B.Grad[row] += dan[h]
-				w := g.Wx.W[row*In : (row+1)*In]
-				gw := g.Wx.Grad[row*In : (row+1)*In]
-				for k, xv := range x {
-					gw[k] += dan[h] * xv
-					gx[k] += dan[h] * w[k]
-				}
-				// Through r ⊙ (Un hPrev): d/d(Un row) = dan * r * hPrev,
-				// d/dhPrev += dan * r * Un.
-				hw := g.Wh.W[row*H : (row+1)*H]
-				hgw := g.Wh.Grad[row*H : (row+1)*H]
-				f := dan[h] * rv[h]
-				for k, hp := range hPrev {
-					hgw[k] += f * hp
-					dhPrev[k] += f * hw[k]
-				}
-			}
-		}
+		accumRows(g.Wx.Grad, gx, g.Wx.W, tape.xs[t], da, da, H, 3, In)
+		accumRows(g.Wh.Grad, dhPrev, g.Wh.W, hPrev, dah, da, H, 3, H)
 		gxs[t] = gx
 		dhNext = dhPrev
 	}

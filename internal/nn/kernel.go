@@ -1,18 +1,20 @@
 package nn
 
-// Packed-weight products for the LSTM recurrence. On amd64 CPUs with AVX
-// the full 16-row blocks of a weight matrix run through an assembly
-// micro-kernel that computes four output rows per YMM register; everywhere
-// else, and for the rows past the last full block, the scalar gemmNT runs.
+// Two AVX kernels, one per direction. Forward, packed-weight products for
+// the LSTM recurrence: on amd64 CPUs with AVX the full 16-row blocks of a
+// weight matrix run through an assembly micro-kernel that computes four
+// output rows per YMM register; everywhere else, and for the rows past the
+// last full block, the scalar gemmNT runs. Backward, accumRows: every
+// backward pass adds its weight rows' gradients and input gradients four
+// lanes per YMM register, with the lanes past the last group in scalar Go.
 //
-// The kernel is exact: every output element starts from its bias (or its
-// running value) and adds w[j]*x[j] for j ascending, each product and each
-// sum rounded once — VMULPD/VADDPD round every lane as MULSD/ADDSD do, and
-// the kernel never uses a fused multiply-add. So the packed and scalar
-// paths agree bit for bit.
+// Both kernels are exact: each element keeps the scalar loop's chain of
+// operations, each product and each sum rounded once. VMULPD/VADDPD round
+// every lane as MULSD/ADDSD do, and neither kernel uses a fused
+// multiply-add. So the AVX and scalar paths agree bit for bit.
 
-// useAVX selects the packed AVX kernel. It is fixed from the CPU's features
-// at start-up; only tests override it.
+// useAVX selects the AVX kernels. It is fixed from the CPU's features at
+// start-up; only tests override it.
 var useAVX = hasAVX()
 
 // blockRows is the number of weight rows one kernel pass computes: four
@@ -72,4 +74,53 @@ func (pk packedNT) mul(Y, X []float64, n int, bias []float64, acc bool) {
 		}
 	}
 	gemmNT(Y, X, n, pk.w, m, k, bias, acc, from)
+}
+
+// accumRows runs one backward step's weight rows: for every row r =
+// g*units+u with s[r] != 0, walked unit by unit (u ascending) and, within
+// a unit, gate by gate (g ascending), it adds
+//
+//	a[r*ld+j] += z[r] * x[j]   (the row's weight gradient)
+//	b[j]      += z[r] * w[r*ld+j]   (the input gradient)
+//
+// for j ascending over len(x). Each a element gets one multiply and one add
+// per call; each b element sums the rows in walk order; a row whose s is
+// ±0 adds nothing, which keeps the sign of zero accumulators and keeps an
+// infinite x or w from turning them into NaN. s is z except where a row's
+// multiplier can be zero while the row still runs (the GRU's candidate
+// row). The same rows run in the AVX kernel for the whole 4-lane groups of
+// j and in the loop below for the rest, or for all of j without AVX.
+func accumRows(a, b, w, x, z, s []float64, units, gates, ld int) {
+	n, rows := len(x), units*gates
+	if rows == 0 || n == 0 {
+		return
+	}
+	if last := (rows-1)*ld + n; len(a) < last || len(w) < last || len(b) < n || len(z) < rows || len(s) < rows {
+		panic("nn: accumRows operands too short")
+	}
+	vec := 0
+	if useAVX {
+		vec = n &^ 3
+	}
+	if vec > 0 {
+		accumRowsAVX(&a[0], &b[0], &w[0], &x[0], &z[0], &s[0], units, gates, ld, vec)
+		if vec == n {
+			return
+		}
+	}
+	x, b = x[vec:], b[vec:n]
+	for u := 0; u < units; u++ {
+		for r := u; r < rows; r += units {
+			if s[r] == 0 {
+				continue
+			}
+			zr := z[r]
+			ar := a[r*ld+vec : r*ld+n]
+			wr := w[r*ld+vec : r*ld+n]
+			for j, xv := range x {
+				ar[j] += zr * xv
+				b[j] += zr * wr[j]
+			}
+		}
+	}
 }

@@ -8,6 +8,12 @@ package nn
 //go:noescape
 func gemvBlocksAVX(y, init, p, x *float64, k, nb int)
 
+// accumRowsAVX is accumRows over the first n lanes of x and b, n a
+// positive multiple of 4; see kernel_amd64.s.
+//
+//go:noescape
+func accumRowsAVX(a, b, w, x, z, s *float64, units, gates, ld, n int)
+
 // sigmoidsAVX and tanhsAVX compute Sigmoid and Tanh of n groups of four
 // float64s from src into dst (which may equal src), and return how many
 // groups they stored before the first one outside their fast range (n if

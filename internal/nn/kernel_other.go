@@ -14,6 +14,12 @@ func gemvBlocksAVX(y, init, p, x *float64, k, nb int) {
 	panic("nn: AVX kernel called without AVX")
 }
 
+// accumRowsAVX is never called: accumRows runs only its scalar loop while
+// useAVX is off.
+func accumRowsAVX(a, b, w, x, z, s *float64, units, gates, ld, n int) {
+	panic("nn: AVX kernel called without AVX")
+}
+
 // sigmoidsAVX and tanhsAVX are never called: useGateAVX is off.
 func sigmoidsAVX(dst, src *float64, n int) int { panic("nn: gate kernel called without AVX2") }
 

@@ -193,13 +193,12 @@ func (l *LSTM) bptt(t *LSTMTape, s int, m Mark, gh [][]float64, dcT []float64) (
 	if dcT != nil {
 		copy(dcNext, dcT)
 	}
-	// Per-step scratch, fully rewritten every iteration.
+	// Per-step scratch, fully rewritten every iteration. dz holds the
+	// gate preactivation gradients in the weights' row order (i, f, g, o).
 	dh := ar.Floats(H)
 	dhPrev := ar.Floats(H)
-	dzi := ar.Floats(H)
-	dzf := ar.Floats(H)
-	dzg := ar.Floats(H)
-	dzo := ar.Floats(H)
+	dz := ar.Floats(4 * H)
+	dzi, dzf, dzg, dzo := dz[:H], dz[H:2*H], dz[2*H:3*H], dz[3*H:]
 	dc := ar.Floats(H)
 	for ti := T - 1; ti >= 0; ti-- {
 		copy(dh, dhNext)
@@ -226,32 +225,17 @@ func (l *LSTM) bptt(t *LSTMTape, s int, m Mark, gh [][]float64, dcT []float64) (
 			dzg[h] = dg * (1 - gv[h]*gv[h])
 			dzo[h] = do * ov[h] * (1 - ov[h])
 		}
-		// Parameter grads and input/hidden grads.
-		gx := ar.Floats(In)
-		clear(dhPrev)
-		x := t.xs[ti][s*In : (s+1)*In]
-		for h := 0; h < H; h++ {
-			for gate, dz := range [4][]float64{dzi, dzf, dzg, dzo} {
-				z := dz[h]
-				if z == 0 {
-					continue
-				}
-				row := (gate*H + h)
+		// Parameter grads and input/hidden grads, row by row: hidden unit
+		// first, then gate, skipping zero rows.
+		for row, z := range dz {
+			if z != 0 {
 				l.B.Grad[row] += z
-				wrow := l.Wx.W[row*In : (row+1)*In]
-				grow := l.Wx.Grad[row*In : (row+1)*In]
-				for k, xv := range x {
-					grow[k] += z * xv
-					gx[k] += z * wrow[k]
-				}
-				hwrow := l.Wh.W[row*H : (row+1)*H]
-				hgrow := l.Wh.Grad[row*H : (row+1)*H]
-				for k, hpv := range hPrev {
-					hgrow[k] += z * hpv
-					dhPrev[k] += z * hwrow[k]
-				}
 			}
 		}
+		gx := ar.Floats(In)
+		clear(dhPrev)
+		accumRows(l.Wx.Grad, gx, l.Wx.W, t.xs[ti][s*In:(s+1)*In], dz, dz, H, 4, In)
+		accumRows(l.Wh.Grad, dhPrev, l.Wh.W, hPrev, dz, dz, H, 4, H)
 		gxs[ti] = gx
 		copy(dhNext, dhPrev)
 		for h := 0; h < H; h++ {

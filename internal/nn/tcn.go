@@ -153,6 +153,7 @@ func (t *TCN) Backward(tape *TCNTape, gy [][]float64) [][]float64 {
 		if blk.proj != nil {
 			gres = ar.Floats(blk.in)
 		}
+		gz := ar.Floats(blk.out) // one step's conv output gradients through the ReLU
 		for ti := 0; ti < T; ti++ {
 			if ti >= len(g) || g[ti] == nil {
 				continue
@@ -168,26 +169,25 @@ func (t *TCN) Backward(tape *TCNTape, gy [][]float64) [][]float64 {
 					gIn[ti][i] += g[ti][i]
 				}
 			}
-			// Conv path through ReLU.
-			for o := 0; o < blk.out; o++ {
-				gv := g[ti][o]
-				if gv == 0 || pre[ti][o] <= 0 {
+			// Conv path through ReLU. Output o's tap-k weights are row o
+			// of the out x in matrix at offset k*in with stride kernel*in.
+			// Each tap reads its own source step, so running the taps one
+			// after another keeps every element's order of additions.
+			for o, gv := range g[ti][:blk.out] {
+				if pre[ti][o] <= 0 {
+					gv = 0
+				}
+				gz[o] = gv
+				if gv != 0 {
+					blk.B.Grad[o] += gv
+				}
+			}
+			for k := 0; k < blk.kernel; k++ {
+				srcT := ti - (blk.kernel-1-k)*blk.dilation
+				if srcT < 0 {
 					continue
 				}
-				blk.B.Grad[o] += gv
-				for k := 0; k < blk.kernel; k++ {
-					srcT := ti - (blk.kernel-1-k)*blk.dilation
-					if srcT < 0 {
-						continue
-					}
-					base := (o*blk.kernel + k) * blk.in
-					w := blk.W.W[base : base+blk.in]
-					gw := blk.W.Grad[base : base+blk.in]
-					for i, xv := range in[srcT] {
-						gw[i] += gv * xv
-						gIn[srcT][i] += gv * w[i]
-					}
-				}
+				accumRows(blk.W.Grad[k*blk.in:], gIn[srcT], blk.W.W[k*blk.in:], in[srcT], gz, gz, blk.out, 1, blk.kernel*blk.in)
 			}
 		}
 		g = gIn
