@@ -53,7 +53,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	body, err := readBody(w, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		rt.decodeS = time.Since(rt.start).Seconds()
 		rt.outcome = "rejected"
@@ -93,6 +93,22 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	et0 := time.Now()
 	writeJSON(w, status, resp)
 	rt.encodeS = time.Since(et0).Seconds()
+}
+
+// readBody reads a request body of at most limit bytes. A known
+// Content-Length within the limit is read into one buffer of that size,
+// and a body that ends early fails with io.ErrUnexpectedEOF. Anything
+// else, chunked or declared over the limit, goes through io.ReadAll and a
+// MaxBytesReader, so an oversize body ends in an *http.MaxBytesError.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	if n := r.ContentLength; n > 0 && n <= limit {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

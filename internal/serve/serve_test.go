@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,6 +201,80 @@ func TestOversizedBodyRejected(t *testing.T) {
 	rec := post(t, h, "ue-big", mkSamples(20, 100))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413", rec.Code)
+	}
+}
+
+// TestChunkedBodyDecodes streams the same one-sample requests to two
+// sessions over loopback HTTP, one with a Content-Length and one chunked
+// (the client cannot know the length of a plain io.Reader): the server must
+// see both framings, answer each request with 200, and give both sessions
+// the same forecast once they are warm.
+func TestChunkedBodyDecodes(t *testing.T) {
+	s := testServer(t, &predictors.HarmonicMean{Horizon: 10}, nil)
+	h := s.Handler()
+	var mu sync.Mutex
+	var lengths []int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		lengths = append(lengths, r.ContentLength)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	send := func(session string, smp trace.Sample, chunked bool) Response {
+		body, err := json.Marshal(Request{Session: session, Samples: []trace.Sample{smp}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r io.Reader = bytes.NewReader(body)
+		if chunked {
+			r = struct{ io.Reader }{r}
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/forecast", "application/json", r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out Response
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %+v (%v)", session, resp.StatusCode, out, err)
+		}
+		return out
+	}
+	var sized, chunked Response
+	for _, smp := range mkSamples(s.cfg.History, 120) {
+		sized = send("sized", smp, false)
+		chunked = send("chunked", smp, true)
+	}
+	for i, n := range lengths {
+		if (i%2 == 0) != (n > 0) {
+			t.Fatalf("request %d arrived with Content-Length %d", i, n)
+		}
+	}
+	if sized.Warmup || chunked.Warmup || !bitsEqual(sized.ForecastMbps, chunked.ForecastMbps) {
+		t.Fatalf("chunked session answered %+v, sized %+v", chunked, sized)
+	}
+}
+
+// TestBodyReadFailures covers the two ways a body read fails besides a
+// timeout: a body shorter than its Content-Length is a 400 counted as a
+// body-read rejection, and a chunked body over the limit is a 413 counted
+// as oversize.
+func TestBodyReadFailures(t *testing.T) {
+	s := testServer(t, &stub{name: "stub"}, func(c *Config) { c.MaxBodyBytes = 512 })
+	short := httptest.NewRequest(http.MethodPost, "/v1/forecast", strings.NewReader(`{"session":"x"`))
+	short.ContentLength += 100
+	big := httptest.NewRequest(http.MethodPost, "/v1/forecast", struct{ io.Reader }{strings.NewReader(oneSampleBody)})
+	for _, tc := range []struct {
+		req  *http.Request
+		code int
+		n    *obs.Counter
+	}{{short, http.StatusBadRequest, s.m.rejectedBodyRead}, {big, http.StatusRequestEntityTooLarge, s.m.rejectedOversize}} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, tc.req)
+		if rec.Code != tc.code || tc.n.Value() != 1 {
+			t.Fatalf("Content-Length %d: status %d, counter %d; want %d, 1", tc.req.ContentLength, rec.Code, tc.n.Value(), tc.code)
+		}
 	}
 }
 
