@@ -8,6 +8,7 @@ import (
 	"prism5g/internal/mobility"
 	"prism5g/internal/sim"
 	"prism5g/internal/spectrum"
+	"prism5g/internal/trace"
 )
 
 // tinyML is an even smaller config than QuickMLConfig for unit tests.
@@ -343,6 +344,36 @@ func TestFig17SeriesQuick(t *testing.T) {
 	tr := res.TransitionRMSE(5)
 	if len(tr) == 0 {
 		t.Fatal("no transition RMSE")
+	}
+}
+
+// TestFig17WindowsMatchMakeWindow replays Fig 17's held-out traces with
+// Prophet, which reads each window's trace by TraceIdx, and requires every
+// point of the series to equal the forecast on MakeWindow's window at the
+// same start, bit for bit.
+func TestFig17WindowsMatchMakeWindow(t *testing.T) {
+	spec := sim.SubDatasetSpec{Operator: spectrum.OpZ, Mobility: mobility.Driving, Gran: sim.Long}
+	cfg := tinyML()
+	cfg.Models = []string{"Prophet"}
+	got := Fig17PredictionSeries(spec, cfg).Pred["Prophet"]
+	prob := BuildProblem(spec, cfg)
+	m := buildModel("Prophet", prob, cfg)
+	wopts := trace.WindowOpts{History: 10, Horizon: 10, Stride: 1}
+	var want []float64
+	for ti := len(prob.Dataset.Traces) - 2; ti < len(prob.Dataset.Traces); ti++ {
+		tr := &prob.Dataset.Traces[ti]
+		for start := 0; start+20 <= len(tr.Samples); start++ {
+			y := m.Predict(trace.MakeWindow(tr, ti, start, prob.Scaler, wopts))
+			want = append(want, prob.Scaler.InvertTput(y[0]))
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d points, MakeWindow gives %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d = %v, MakeWindow's %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -370,10 +370,11 @@ func Fig17PredictionSeries(spec sim.SubDatasetSpec, cfg MLConfig) SeriesResult {
 		if !held[ti] {
 			continue
 		}
+		// Every window of the trace, each start once, from one scaled copy.
 		tr := &prob.Dataset.Traces[ti]
-		for start := 0; start+20 <= len(tr.Samples); start++ {
-			w := trace.MakeWindow(tr, ti, start, prob.Scaler, wopts)
-			idx := start + 10 // the first horizon sample
+		for _, w := range trace.Windows(&trace.Dataset{Traces: prob.Dataset.Traces[ti : ti+1]}, prob.Scaler, wopts) {
+			w.TraceIdx = ti     // Prophet reads the window's trace by index
+			idx := w.Start + 10 // the first horizon sample
 			res.T = append(res.T, tr.Samples[idx].T)
 			res.Real = append(res.Real, tr.Samples[idx].AggTput)
 			for name, m := range models {
