@@ -108,18 +108,15 @@ func accumRows(a, b, w, x, z, s []float64, units, gates, ld int) {
 			return
 		}
 	}
-	x, b = x[vec:], b[vec:n]
 	for u := 0; u < units; u++ {
 		for r := u; r < rows; r += units {
 			if s[r] == 0 {
 				continue
 			}
-			zr := z[r]
-			ar := a[r*ld+vec : r*ld+n]
-			wr := w[r*ld+vec : r*ld+n]
-			for j, xv := range x {
-				ar[j] += zr * xv
-				b[j] += zr * wr[j]
+			zr, o := z[r], r*ld
+			for j := vec; j < n; j++ {
+				a[o+j] += zr * x[j]
+				b[j] += zr * w[o+j]
 			}
 		}
 	}
