@@ -88,8 +88,9 @@ func (pk packedNT) mul(Y, X []float64, n int, bias []float64, acc bool) {
 // ±0 adds nothing, which keeps the sign of zero accumulators and keeps an
 // infinite x or w from turning them into NaN. s is z except where a row's
 // multiplier can be zero while the row still runs (the GRU's candidate
-// row). The same rows run in the AVX kernel for the whole 4-lane groups of
-// j and in the loop below for the rest, or for all of j without AVX.
+// row). The AVX kernel runs the whole 4-lane groups of j; the loop below
+// runs the rest (all of j without AVX) one lane at a time, holding that
+// lane's b sum in a local across the rows.
 func accumRows(a, b, w, x, z, s []float64, units, gates, ld int) {
 	n, rows := len(x), units*gates
 	if rows == 0 || n == 0 {
@@ -104,20 +105,19 @@ func accumRows(a, b, w, x, z, s []float64, units, gates, ld int) {
 	}
 	if vec > 0 {
 		accumRowsAVX(&a[0], &b[0], &w[0], &x[0], &z[0], &s[0], units, gates, ld, vec)
-		if vec == n {
-			return
-		}
 	}
-	for u := 0; u < units; u++ {
-		for r := u; r < rows; r += units {
-			if s[r] == 0 {
-				continue
-			}
-			zr, o := z[r], r*ld
-			for j := vec; j < n; j++ {
-				a[o+j] += zr * x[j]
-				b[j] += zr * w[o+j]
+	for j := vec; j < n; j++ {
+		xj, bj := x[j], b[j]
+		for u := 0; u < units; u++ {
+			for r := u; r < rows; r += units {
+				if s[r] == 0 {
+					continue
+				}
+				zr, o := z[r], r*ld+j
+				a[o] += zr * xj
+				bj += zr * w[o]
 			}
 		}
+		b[j] = bj
 	}
 }
