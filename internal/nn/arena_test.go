@@ -176,9 +176,9 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestDenseBackwardSkipsZeroGradients pins the zero-gradient skip that
-// Dense's backward passes share through AccumGradNT and AccumInputGradNT:
-// a zero output gradient adds nothing, so an infinite input leaves that
-// row's gradients finite and a -0 accumulator keeps its sign.
+// Dense's backward passes share through accumRows: a zero output gradient
+// adds nothing, so an infinite input leaves that row's gradients finite
+// and a -0 accumulator keeps its sign.
 func TestDenseBackwardSkipsZeroGradients(t *testing.T) {
 	d := NewDense("d", 2, 2, rng.New(1))
 	negZero := math.Copysign(0, -1)

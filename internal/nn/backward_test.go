@@ -255,8 +255,9 @@ func refAccumInputGradNT(GX, GY []float64, n, m int, W []float64, k int) {
 }
 
 // backwardWidths are the Hidden, In and Channels sizes the reference test
-// crosses: below, at and past one 4-lane group and one 16-lane chunk.
-var backwardWidths = []int{1, 3, 4, 6, 13, 32, 33}
+// crosses: below, at and past one 4-lane group, chunks of one to four
+// registers, and one or two whole 16-lane chunks with and without more.
+var backwardWidths = []int{1, 3, 4, 6, 8, 13, 20, 32, 33}
 
 // specialValue draws +Inf, -Inf or NaN.
 func specialValue(src *rng.Source) float64 {
