@@ -80,7 +80,7 @@ func (pk packedNT) mul(Y, X []float64, n int, bias []float64, acc bool) {
 // g*units+u with s[r] != 0, walked unit by unit (u ascending) and, within
 // a unit, gate by gate (g ascending), it adds
 //
-//	a[r*ld+j] += z[r] * x[j]   (the row's weight gradient)
+//	a[r*ld+j] += z[r] * x[j]        (the row's weight gradient)
 //	b[j]      += z[r] * w[r*ld+j]   (the input gradient)
 //
 // for j ascending over len(x). Each a element gets one multiply and one add
