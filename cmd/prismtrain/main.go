@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	model := flag.String("model", "Prism5G", "Prophet, LSTM, TCN, Lumos5G, GBDT, RF, Prism5G, Prism5G-NoState or Prism5G-NoFusion")
+	model := flag.String("model", "Prism5G", "one of "+strings.Join(experiments.KnownModels(), ", "))
 	op := flag.String("op", "OpZ", "operator")
 	mob := flag.String("mobility", "driving", "stationary, walking or driving")
 	gran := flag.String("gran", "short", "short (10ms) or long (1s)")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"prism5g/internal/nn"
@@ -13,16 +14,43 @@ import (
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 
-// perCarrierLSTM hides the shared LSTM from batched, so forward runs it
-// carrier by carrier through lstmBackbone.run: the reference the batch
-// must match.
-type perCarrierLSTM struct{ lstmBackbone }
+// prismVariant is one of the Prism5G models the experiments run.
+type prismVariant struct {
+	name string
+	set  func(*Options)
+}
 
-// perCarrierTwin returns a model sharing every parameter of p whose shared
-// LSTM runs one carrier at a time.
+// build returns the variant of a model with options o over 10-step
+// histories.
+func (v prismVariant) build(o Options) *Prism5G {
+	v.set(&o)
+	return New(o, 10)
+}
+
+// prismVariants are the five variants: the default, the Table 13 ablations
+// and the two design-choice ablations (DESIGN §5). The first four share one
+// backbone across carriers.
+var prismVariants = []prismVariant{
+	{"default", func(*Options) {}},
+	{"NoState", func(o *Options) { o.UseState = false }},
+	{"NoFusion", func(o *Options) { o.UseFusion = false }},
+	{"GRU", func(o *Options) { o.Backbone = "gru" }},
+	{"per-slot", func(o *Options) { o.SharedWeights = false }},
+}
+
+// perCarrierTwin returns a model sharing every parameter of p, a model
+// with one shared backbone, whose MaxCC per-slot backbone instances all
+// alias that backbone: the twin runs each carrier as a one-lane pass.
 func perCarrierTwin(p *Prism5G) *Prism5G {
-	ref := New(p.Opts, p.histT)
-	ref.rnns = []rnn{perCarrierLSTM{p.rnns[0].(lstmBackbone)}}
+	o := p.Opts
+	o.SharedWeights = false
+	ref := New(o, p.histT)
+	for i := range ref.lstm {
+		ref.lstm[i] = p.lstm[0]
+	}
+	for i := range ref.gru {
+		ref.gru[i] = p.gru[0]
+	}
 	ref.embed, ref.fusion, ref.head = p.embed, p.fusion, p.head
 	return ref
 }
@@ -56,28 +84,24 @@ func refWindow(src *rng.Source, T, active int) trace.Window {
 	return w
 }
 
-// TestBatchedPrismMatchesPerCarrier pins the four-carrier LSTM batch to
-// the per-carrier loop it replaced: equal Predict bits, and equal bits in
-// every parameter gradient after one ForwardBackward, for the default,
-// NoState and NoFusion models at Hidden 6 (one 16-row block plus a scalar
-// tail per gate matrix) and 32, on windows with 0 to 3 inactive carriers.
+// TestBatchedPrismMatchesPerCarrier pins a shared backbone's carrier lanes
+// to one-lane passes, one per carrier: equal Predict bits, and equal bits
+// in every parameter gradient after one ForwardBackward, for the default,
+// NoState, NoFusion and GRU models at Hidden 6 (one 16-row block plus a
+// scalar tail per gate matrix) and 32, on windows with 0 to 3 inactive
+// carriers.
 func TestBatchedPrismMatchesPerCarrier(t *testing.T) {
-	const T = 10
-	ctors := map[string]func(Options, int) *Prism5G{"default": New, "NoState": NewNoState, "NoFusion": NewNoFusion}
-	for name, ctor := range ctors {
+	for _, v := range prismVariants[:4] {
 		for _, hidden := range []int{6, 32} {
 			o := smallOpts()
 			o.Hidden = hidden
-			p := ctor(o, T)
-			if p.batched() == nil {
-				t.Fatalf("%s: the shared LSTM is not batched", name)
-			}
+			p := v.build(o)
 			ref := perCarrierTwin(p)
 			src := rng.New(uint64(hidden))
 			for inactive := 0; inactive < trace.MaxCC; inactive++ {
-				w := refWindow(src, T, trace.MaxCC-inactive)
+				w := refWindow(src, p.histT, trace.MaxCC-inactive)
 				where := func(what string) string {
-					return fmt.Sprintf("%s, Hidden %d, %d inactive: %s", name, hidden, inactive, what)
+					return fmt.Sprintf("%s, Hidden %d, %d inactive: %s", v.name, hidden, inactive, what)
 				}
 				sameBits(t, where("Predict"), p.Predict(w), ref.Predict(w))
 
@@ -89,7 +113,7 @@ func TestBatchedPrismMatchesPerCarrier(t *testing.T) {
 				}
 				nn.ZeroGrads(p)
 				sameBits(t, where("ForwardBackward"), y, ref.ForwardBackward(w, 0.37))
-				for i, prm := range ref.Params() {
+				for i, prm := range p.Params() { // the twin's, with the shared backbone listed once
 					sameBits(t, where(prm.Name+" grad"), grads[i], prm.Grad)
 				}
 			}
@@ -104,46 +128,88 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s[%d] = %v batched, %v per carrier", what, i, got[i], want[i])
+			t.Fatalf("%s[%d] = %v, want %v", what, i, got[i], want[i])
 		}
 	}
 }
 
-// TestPredictAllocatesOnlyResult pins Predict at one allocation per call,
-// the returned forecast: every intermediate comes from pooled scratch.
+// TestPredictAllocatesOnlyResult pins every variant's Predict at one
+// allocation per call, the returned forecast: every intermediate comes
+// from pooled scratch.
 func TestPredictAllocatesOnlyResult(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops scratch at random")
 	}
-	p := New(DefaultOptions(), 10)
 	w := synthWindow(1)
-	if allocs := testing.AllocsPerRun(100, func() { p.Predict(w) }); allocs > 1 {
-		t.Fatalf("Predict allocated %v times per call; want 1, the returned forecast", allocs)
+	for _, v := range prismVariants {
+		p := v.build(DefaultOptions())
+		if allocs := testing.AllocsPerRun(100, func() { p.Predict(w) }); allocs != 1 {
+			t.Errorf("%s: Predict allocated %v times per call; want 1, the returned forecast", v.name, allocs)
+		}
+	}
+}
+
+// TestPrismPredictConcurrent runs Predict on shared windows from eight
+// goroutines, each on the pooled scratch, for every variant: each forecast
+// must equal the serial one bit for bit.
+func TestPrismPredictConcurrent(t *testing.T) {
+	ws := make([]trace.Window, 8)
+	for i := range ws {
+		ws[i] = refWindow(rng.New(uint64(i)), 10, 1+i%trace.MaxCC)
+	}
+	for _, v := range prismVariants {
+		p := v.build(smallOpts())
+		want := make([][]float64, len(ws))
+		for i, w := range ws {
+			want[i] = p.Predict(w)
+		}
+		const goroutines, rounds = 8, 4
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for k := 0; k < rounds*len(ws); k++ {
+					i := (k + g) % len(ws) // goroutines start on different windows
+					got := p.Predict(ws[i])
+					for j := range want[i] {
+						if len(got) != len(want[i]) || math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+							t.Errorf("%s window %d: %v concurrently, %v serially", v.name, i, got, want[i])
+							return
+						}
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
 	}
 }
 
 // sinkForecast keeps benchmark results alive.
 var sinkForecast []float64
 
-// BenchmarkPredict times one served forecast of the default model.
-func BenchmarkPredict(b *testing.B) {
-	p := New(DefaultOptions(), 10)
+// benchVariants times run on each variant at the served width (Hidden 32)
+// and one window.
+func benchVariants(b *testing.B, run func(p *Prism5G, w trace.Window)) {
 	w := synthWindow(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkForecast = p.Predict(w)
+	for _, v := range prismVariants {
+		p := v.build(DefaultOptions())
+		b.Run(v.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				run(p, w)
+			}
+		})
 	}
 }
 
+// BenchmarkPredict times one served forecast of each variant.
+func BenchmarkPredict(b *testing.B) {
+	benchVariants(b, func(p *Prism5G, w trace.Window) { sinkForecast = p.Predict(w) })
+}
+
 // BenchmarkForwardBackward times one training step's forward and backward
-// pass of the default model on one window.
+// pass of each variant on one window.
 func BenchmarkForwardBackward(b *testing.B) {
-	p := New(DefaultOptions(), 10)
-	w := synthWindow(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkForecast = p.ForwardBackward(w, 1)
-	}
+	benchVariants(b, func(p *Prism5G, w trace.Window) { sinkForecast = p.ForwardBackward(w, 1) })
 }

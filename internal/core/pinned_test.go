@@ -48,8 +48,9 @@ func trainDigest(p *Prism5G, rep predictors.TrainReport) string {
 
 // TestPrismTrainingPinned pins Prism5G training at the width the server
 // bootstraps (Hidden 32) to digests of its final weights and per-epoch
-// statistics: the default model (the shared LSTM's lanes), the GRU
-// backbone and per-slot weights (both carrier by carrier). Like the
+// statistics: the default model, the GRU backbone and per-slot weights.
+// The GRU and per-slot digests were recorded when those models still ran
+// carrier by carrier, so they also lock the lanes to that path. Like the
 // conformance goldens, the digests assume amd64 with FMA.
 func TestPrismTrainingPinned(t *testing.T) {
 	want := map[string]string{

@@ -3,7 +3,9 @@
 // three design principles of Fig 16:
 //
 //  1. Per-CC modeling (blue): a weights-shared RNN consumes each component
-//     carrier's feature sequence separately: h_c = RNN_θ1(X_c).
+//     carrier's feature sequence separately: h_c = RNN_θ1(X_c). The
+//     carriers run as the lanes of one RNN pass, each lane its own
+//     sequence.
 //  2. CA event monitoring (green): RRC signaling is translated into a binary
 //     mask I that gates the per-CC inputs (X'_c = X_c ⊙ I) and, through an
 //     embedding layer, provides the fusion module with channel-combination
@@ -16,7 +18,9 @@
 // the aggregate is their sum: y_pred = Σ_c MLP_θ3(h'_c). All modules are
 // trained jointly by minimizing prediction error.
 //
-// The NoState and NoFusion constructors build the paper's Table 13 ablations.
+// The NoState and NoFusion constructors build the paper's Table 13
+// ablations; Options.Backbone and Options.SharedWeights build the
+// design-choice ablations (a GRU backbone, one RNN per carrier slot).
 package core
 
 import (
@@ -71,78 +75,28 @@ func DefaultOptions() Options {
 	}
 }
 
-// rnnScratch holds one carrier slot's reusable backbone tape for the
-// backbones that run carrier by carrier (GRU, per-slot weights): every
-// carrier records its own forward pass.
-type rnnScratch struct {
-	lstm nn.LSTMTape
-	gru  nn.GRUTape
-	gh   [][]float64 // hidden-grad spine for the GRU's backward closure
-}
-
-func (s *rnnScratch) ghSpine(T int) [][]float64 {
-	if cap(s.gh) < T {
-		s.gh = make([][]float64, T)
-	}
-	gh := s.gh[:T]
-	for i := range gh {
-		gh[i] = nil
-	}
-	return gh
-}
-
-// rnn abstracts the per-CC recurrent backbone so LSTM and GRU are
-// interchangeable: forward returns the final hidden state and a backward
-// closure that consumes dL/dh_last.
-type rnn interface {
-	Params() []*nn.Param
-	run(s *rnnScratch, seq [][]float64) (last []float64, backward func(gLast []float64))
-}
-
-type lstmBackbone struct{ m *nn.LSTM }
-
-func (b lstmBackbone) Params() []*nn.Param { return b.m.Params() }
-func (b lstmBackbone) run(s *rnnScratch, seq [][]float64) ([]float64, func([]float64)) {
-	hs := b.m.ForwardTape(&s.lstm, seq, nil, nil)
-	return hs[len(hs)-1], func(g []float64) { b.m.BackwardBatch(&s.lstm, g) }
-}
-
-type gruBackbone struct{ m *nn.GRU }
-
-func (b gruBackbone) Params() []*nn.Param { return b.m.Params() }
-func (b gruBackbone) run(s *rnnScratch, seq [][]float64) ([]float64, func([]float64)) {
-	hs := b.m.ForwardTape(&s.gru, seq)
-	last := hs[len(hs)-1]
-	return last, func(g []float64) {
-		gh := s.ghSpine(len(hs))
-		gh[len(hs)-1] = g
-		b.m.Backward(&s.gru, gh)
-	}
-}
-
 // prismScratch bundles every reusable buffer of one forward/backward pass:
-// the shared LSTM's batch tape or the per-carrier backbone tapes, fusion
-// and head MLP tapes, and a bump arena for the glue vectors. Kept in a
-// sync.Pool so concurrent Predict calls (the serving path) each grab their
-// own.
+// one backbone tape per backbone instance, the fusion and head MLP tapes,
+// and a bump arena for the glue vectors. Kept in a sync.Pool so concurrent
+// Predict calls (the serving path) each grab their own.
 type prismScratch struct {
-	batch  nn.LSTMTape
-	rnns   [trace.MaxCC]rnnScratch
+	lstm   [trace.MaxCC]nn.LSTMTape
+	gru    [trace.MaxCC]nn.GRUTape
 	ftape  nn.MLPTape
 	htapes [trace.MaxCC]nn.MLPTape
 	ar     nn.Arena
 }
 
-// zeroFeat is the shared gated-off input row: read-only zeros.
-var zeroFeat = make([]float64, trace.NumCCFeatures)
-
 // Prism5G is the CA-aware throughput predictor.
 type Prism5G struct {
 	Opts Options
 
-	// rnns holds the per-CC backbones: one entry shared across carriers
-	// (the paper's θ1 weight sharing) or MaxCC independent ones.
-	rnns   []rnn
+	// lstm or gru (the other is empty) holds θ1, the per-CC backbone: one
+	// instance shared by every carrier (the paper's weight sharing) or one
+	// per carrier slot. Each instance runs its carriers as the lanes of one
+	// pass.
+	lstm   []*nn.LSTM
+	gru    []*nn.GRU
 	embed  *nn.Dense // mask (C*T) -> Hidden
 	fusion *nn.MLP   // (C*Hidden + Hidden) -> Hidden, θ2
 	head   *nn.MLP   // Hidden -> Horizon, shared θ3
@@ -161,42 +115,23 @@ func New(opts Options, historyT int) *Prism5G {
 	h := opts.Hidden
 	p := &Prism5G{Opts: opts, histT: historyT}
 	p.pool.New = func() any { return &prismScratch{} }
-	numRNNs := 1
+	instances := 1
 	if !opts.SharedWeights {
-		numRNNs = trace.MaxCC
+		instances = trace.MaxCC
 	}
-	for i := 0; i < numRNNs; i++ {
+	for i := 0; i < instances; i++ {
 		name := fmt.Sprintf("prism.rnn%d", i)
 		switch opts.Backbone {
 		case "gru":
-			p.rnns = append(p.rnns, gruBackbone{nn.NewGRU(name, trace.NumCCFeatures, h, src)})
+			p.gru = append(p.gru, nn.NewGRU(name, trace.NumCCFeatures, h, src))
 		default:
-			p.rnns = append(p.rnns, lstmBackbone{nn.NewLSTM(name, trace.NumCCFeatures, h, src)})
+			p.lstm = append(p.lstm, nn.NewLSTM(name, trace.NumCCFeatures, h, src))
 		}
 	}
 	p.embed = nn.NewDense("prism.embed", trace.MaxCC*historyT, h, src)
 	p.fusion = nn.NewMLP("prism.fusion", []int{trace.MaxCC*h + h, h, h}, src)
 	p.head = nn.NewMLP("prism.head", []int{h, h, opts.Horizon}, src)
 	return p
-}
-
-// rnnFor returns the backbone serving carrier slot c.
-func (p *Prism5G) rnnFor(c int) rnn {
-	if len(p.rnns) == 1 {
-		return p.rnns[0]
-	}
-	return p.rnns[c]
-}
-
-// batched returns the LSTM every carrier shares (the paper's θ1, and the
-// default): one weight set over MaxCC sequences, which then run as one
-// batch. It is nil for the GRU backbone and for per-slot weights, whose
-// carriers run one by one.
-func (p *Prism5G) batched() *nn.LSTM {
-	if b, ok := p.rnns[0].(lstmBackbone); ok && len(p.rnns) == 1 {
-		return b.m
-	}
-	return nil
 }
 
 // NewNoState builds the Table 13 "No State" ablation: no mask gating, no
@@ -227,8 +162,11 @@ func (p *Prism5G) Name() string {
 // Params implements nn.Module.
 func (p *Prism5G) Params() []*nn.Param {
 	var ps []*nn.Param
-	for _, r := range p.rnns {
-		ps = append(ps, r.Params()...)
+	for _, m := range p.lstm {
+		ps = append(ps, m.Params()...)
+	}
+	for _, m := range p.gru {
+		ps = append(ps, m.Params()...)
 	}
 	if p.Opts.UseState {
 		ps = append(ps, p.embed.Params()...)
@@ -272,34 +210,33 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 	}
 	gatedOff := func(c, t int) bool { return p.Opts.UseState && maskFlat[c*T+t] == 0 }
 
-	// --- Shared (or per-CC) RNN ---
-	hcs := s.ar.Rows(C)
-	var backs [trace.MaxCC]func([]float64)
-	lstm := p.batched()
-	if lstm != nil {
-		// The carriers' sequences, stacked step-major, are one batch.
-		X := s.ar.Floats(T * C * F)
+	// --- θ1: each backbone instance runs its L carriers as L lanes ---
+	// Instance i takes carriers i*L..i*L+L-1 from one input block laid out
+	// instance-major, then step-major: carrier i*L+l reads step t at
+	// X[i*T*L*F + (t*L+l)*F], and a gated-off step reads zeros.
+	instances := len(p.lstm) + len(p.gru)
+	L := C / instances
+	X := s.ar.Floats(C * T * F)
+	for c := 0; c < C; c++ {
+		i, l := c/L, c%L
 		for t := 0; t < T; t++ {
-			for c := 0; c < C; c++ {
-				if !gatedOff(c, t) {
-					copy(X[(t*C+c)*F:(t*C+c+1)*F], w.Feat(c, t))
-				}
+			if !gatedOff(c, t) {
+				o := i*T*L*F + (t*L+l)*F
+				copy(X[o:o+F], w.Feat(c, t))
 			}
 		}
-		last := lstm.ForwardBatch(&s.batch, X, C, T)
-		for c := range hcs {
-			hcs[c] = last[c*H : (c+1)*H]
+	}
+	hcs := s.ar.Rows(C)
+	for i := 0; i < instances; i++ {
+		Xi := X[i*T*L*F : (i+1)*T*L*F]
+		var last []float64
+		if p.gru != nil {
+			last = p.gru[i].ForwardBatch(&s.gru[i], Xi, L, T)
+		} else {
+			last = p.lstm[i].ForwardBatch(&s.lstm[i], Xi, L, T)
 		}
-	} else {
-		seq := s.ar.Rows(T)
-		for c := 0; c < C; c++ {
-			for t := range seq {
-				seq[t] = w.Feat(c, t)
-				if gatedOff(c, t) {
-					seq[t] = zeroFeat
-				}
-			}
-			hcs[c], backs[c] = p.rnnFor(c).run(&s.rnns[c], seq)
+		for l := 0; l < L; l++ {
+			hcs[i*L+l] = last[l*H : (l+1)*H]
 		}
 	}
 
@@ -377,11 +314,12 @@ func (p *Prism5G) forward(w trace.Window, gScale float64, perCC [][]float64) []f
 			p.embed.BackwardInto(s.ar.Floats(C*T), maskFlat, gemb)
 		}
 	}
-	if lstm != nil {
-		lstm.BackwardBatch(&s.batch, ghLast)
-	} else {
-		for c := 0; c < C; c++ {
-			backs[c](ghLast[c*H : (c+1)*H])
+	for i := 0; i < instances; i++ {
+		gLast := ghLast[i*L*H : (i+1)*L*H]
+		if p.gru != nil {
+			p.gru[i].BackwardBatch(&s.gru[i], gLast)
+		} else {
+			p.lstm[i].BackwardBatch(&s.lstm[i], gLast)
 		}
 	}
 	p.pool.Put(s)

@@ -199,47 +199,89 @@ func TestDenseBackwardSkipsZeroGradients(t *testing.T) {
 	}
 }
 
+// lanePasses is a recurrent layer with its one-lane pass (a forward and a
+// backward from a gradient into the last hidden state, returning that
+// state) and its pass over b lanes (returning the b last states).
+type lanePasses struct {
+	m     Module
+	one   func(seq [][]float64, gLast []float64) []float64
+	lanes func(X, ghLast []float64) []float64
+}
+
+// TestLSTMBatchMatchesPerSample requires b lanes of one LSTM or GRU pass to
+// give the bits of b one-lane passes: every last hidden state and every
+// parameter gradient.
 func TestLSTMBatchMatchesPerSample(t *testing.T) {
-	src := rng.New(3)
 	const bsz, T, in, hid = 4, 6, 5, 8
-	a := NewLSTM("a", in, hid, src)
-	b := NewLSTM("b", in, hid, rng.New(3))
-	// Step-major batch input and the equivalent per-sample sequences.
-	X := make([]float64, T*bsz*in)
-	for i := range X {
-		X[i] = src.Float64() - 0.5
+	cases := map[string]func(src *rng.Source) lanePasses{
+		"LSTM": func(src *rng.Source) lanePasses {
+			l := NewLSTM("lstm", in, hid, src)
+			var tape LSTMTape
+			return lanePasses{l, func(seq [][]float64, gLast []float64) []float64 {
+				hs := l.ForwardTape(&tape, seq, nil, nil)
+				last := append([]float64(nil), hs[T-1]...)
+				gh := make([][]float64, T)
+				gh[T-1] = gLast
+				l.Backward(&tape, gh, nil)
+				return last
+			}, func(X, ghLast []float64) []float64 {
+				last := append([]float64(nil), l.ForwardBatch(&tape, X, bsz, T)...)
+				l.BackwardBatch(&tape, ghLast)
+				return last
+			}}
+		},
+		"GRU": func(src *rng.Source) lanePasses {
+			g := NewGRU("gru", in, hid, src)
+			var tape GRUTape
+			return lanePasses{g, func(seq [][]float64, gLast []float64) []float64 {
+				hs := g.ForwardTape(&tape, seq)
+				last := append([]float64(nil), hs[T-1]...)
+				gh := make([][]float64, T)
+				gh[T-1] = gLast
+				g.Backward(&tape, gh)
+				return last
+			}, func(X, ghLast []float64) []float64 {
+				last := append([]float64(nil), g.ForwardBatch(&tape, X, bsz, T)...)
+				g.BackwardBatch(&tape, ghLast)
+				return last
+			}}
+		},
 	}
-	ghLast := make([]float64, bsz*hid)
-	for i := range ghLast {
-		ghLast[i] = src.Float64() - 0.5
-	}
-
-	wantLast := make([]float64, bsz*hid)
-	for s := 0; s < bsz; s++ {
-		seq := make([][]float64, T)
-		for ti := 0; ti < T; ti++ {
-			seq[ti] = X[(ti*bsz+s)*in : (ti*bsz+s+1)*in]
+	for name, build := range cases {
+		src := rng.New(3)
+		a := build(src)
+		b := build(rng.New(3))
+		// Step-major batch input and the equivalent per-sample sequences.
+		X := make([]float64, T*bsz*in)
+		for i := range X {
+			X[i] = src.Float64() - 0.5
 		}
-		hs, tape := a.Forward(seq)
-		copy(wantLast[s*hid:], hs[T-1])
-		gh := make([][]float64, T)
-		gh[T-1] = ghLast[s*hid : (s+1)*hid]
-		a.Backward(tape, gh, nil)
-	}
-
-	var bt LSTMTape
-	gotLast := b.ForwardBatch(&bt, X, bsz, T)
-	for i := range wantLast {
-		if gotLast[i] != wantLast[i] {
-			t.Fatalf("batched forward diverged at %d: %v vs %v", i, gotLast[i], wantLast[i])
+		ghLast := make([]float64, bsz*hid)
+		for i := range ghLast {
+			ghLast[i] = src.Float64() - 0.5
 		}
-	}
-	b.BackwardBatch(&bt, ghLast)
-	for pi, pa := range a.Params() {
-		pb := b.Params()[pi]
-		for i := range pa.Grad {
-			if pa.Grad[i] != pb.Grad[i] {
-				t.Fatalf("batched %s grad diverged at %d: %v vs %v", pa.Name, i, pb.Grad[i], pa.Grad[i])
+
+		wantLast := make([]float64, bsz*hid)
+		for s := 0; s < bsz; s++ {
+			seq := make([][]float64, T)
+			for ti := 0; ti < T; ti++ {
+				seq[ti] = X[(ti*bsz+s)*in : (ti*bsz+s+1)*in]
+			}
+			copy(wantLast[s*hid:], a.one(seq, ghLast[s*hid:(s+1)*hid]))
+		}
+
+		gotLast := b.lanes(X, ghLast)
+		for i := range wantLast {
+			if math.Float64bits(gotLast[i]) != math.Float64bits(wantLast[i]) {
+				t.Fatalf("%s: batched forward diverged at %d: %v vs %v", name, i, gotLast[i], wantLast[i])
+			}
+		}
+		for pi, pa := range a.m.Params() {
+			pb := b.m.Params()[pi]
+			for i := range pa.Grad {
+				if math.Float64bits(pa.Grad[i]) != math.Float64bits(pb.Grad[i]) {
+					t.Fatalf("%s: batched %s grad diverged at %d: %v vs %v", name, pa.Name, i, pb.Grad[i], pa.Grad[i])
+				}
 			}
 		}
 	}

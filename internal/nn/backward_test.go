@@ -89,10 +89,11 @@ func refBPTT(l *LSTM, t *LSTMTape, s int, gh [][]float64, dcT []float64) (gxs []
 	return gxs, dhNext, dcNext
 }
 
-// refGRUBackward backpropagates a GRU tape.
-func refGRUBackward(g *GRU, tape *GRUTape, gh [][]float64) [][]float64 {
+// refGRUBackward backpropagates lane s of a GRU tape.
+func refGRUBackward(g *GRU, tape *GRUTape, s int, gh [][]float64) [][]float64 {
 	H, In := g.Hidden, g.In
 	T := tape.T()
+	lo, hi := s*H, (s+1)*H
 	gxs := make([][]float64, T)
 	dhNext := make([]float64, H)
 	for t := T - 1; t >= 0; t-- {
@@ -103,12 +104,13 @@ func refGRUBackward(g *GRU, tape *GRUTape, gh [][]float64) [][]float64 {
 				dh[h] += gh[t][h]
 			}
 		}
-		zv, rv, nv := tape.z[t], tape.r[t], tape.n[t]
-		uh := tape.uhn[t]
+		zv, rv, nv := tape.z[t][lo:hi], tape.r[t][lo:hi], tape.n[t][lo:hi]
+		uh := tape.uhn[t][lo:hi]
 		hPrev := tape.hPrev
 		if t > 0 {
 			hPrev = tape.h[t-1]
 		}
+		hPrev = hPrev[lo:hi]
 		daz := make([]float64, H)
 		dar := make([]float64, H)
 		dan := make([]float64, H)
@@ -123,7 +125,7 @@ func refGRUBackward(g *GRU, tape *GRUTape, gh [][]float64) [][]float64 {
 			dar[h] = dr * rv[h] * (1 - rv[h])
 		}
 		gx := make([]float64, In)
-		x := tape.xs[t]
+		x := tape.xs[t][s*In : (s+1)*In]
 		for h := 0; h < H; h++ {
 			// The z and r rows; the n row's Un half carries dan*r.
 			for gate, d := range [3]float64{daz[h], dar[h], dan[h]} {
@@ -352,9 +354,10 @@ func sameFloats(t *testing.T, what string, got, want []float64) {
 // TestBackwardKernelMatchesScalar compares every backward pass that runs
 // through accumRows with its scalar reference loop above, at every pair of
 // backwardWidths: the LSTM over two lanes (BackwardBatch) and over one lane
-// from a given state with a gradient at every step (Backward), the GRU,
-// the TCN (with and without its residual projection) and Dense. The tapes
-// come from forward passes over moderate inputs; then the operands only
+// from a given state with a gradient at every step (Backward), the GRU
+// over two lanes and over one lane with a gradient at every step, the TCN
+// (with and without its residual projection) and Dense. The tapes come
+// from forward passes over moderate inputs; then the operands only
 // the weight gradients read (inputs, hidden states) are redrawn as normals
 // of many magnitudes, ±0, subnormals, ±Inf and NaN, and so are the
 // weights and the starting gradients. Each recurrent tape has a hidden
@@ -372,7 +375,8 @@ func TestBackwardKernelMatchesScalar(t *testing.T) {
 			for _, c := range []backwardCase{
 				lstmBatchCase(src, in, hid, T, lanes),
 				lstmLaneCase(src, in, hid, T),
-				gruCase(src, in, hid, T),
+				gruBatchCase(src, in, hid, T, lanes),
+				gruLaneCase(src, in, hid, T),
 				tcnCase(src, in, hid, T+2),
 				denseCase(src, in, hid, lanes+1),
 			} {
@@ -509,7 +513,62 @@ func lstmLaneCase(src *rng.Source, in, hid, T int) backwardCase {
 	}
 }
 
-func gruCase(src *rng.Source, in, hid, T int) backwardCase {
+// gruOperands prepares a GRU tape for the backward comparison: on every
+// lane and step, z = 1 for the zero unit zeroes all three of its rows; r =
+// 0 for a random unit zeroes its r row and the n row's Un multiplier, but
+// not the n row itself; n = 1 for a random unit zeroes its n row. The
+// inputs and hidden states are redrawn, and so are the weights, with -Inf
+// in the zero unit's rows.
+func gruOperands(src *rng.Source, g *GRU, t *GRUTape, lanes int) {
+	H := g.Hidden
+	zu := zeroUnit(H)
+	for ti := 0; ti < t.T(); ti++ {
+		for s := 0; s < lanes; s++ {
+			if zu >= 0 {
+				t.z[ti][s*H+zu] = 1
+			}
+			t.r[ti][s*H+src.Intn(H)] = 0
+			t.n[ti][s*H+src.Intn(H)] = 1
+		}
+	}
+	redraw(src, t.xs)
+	redraw(src, t.h[:t.T()-1])
+	fillValues(src, g.Wx.W, false)
+	fillValues(src, g.Wh.W, false)
+	zeroRowWeights(src, g.Wx.W, 3, H, g.In)
+	zeroRowWeights(src, g.Wh.W, 3, H, H)
+}
+
+func gruBatchCase(src *rng.Source, in, hid, T, lanes int) backwardCase {
+	g := NewGRU("gru", in, hid, rng.New(src.Uint64()))
+	X := make([]float64, T*lanes*in)
+	fillModerate(src, X)
+	var tape GRUTape
+	g.ForwardBatch(&tape, X, lanes, T)
+	gruOperands(src, g, &tape, lanes)
+	ghLast := make([]float64, lanes*hid)
+	fillValues(src, ghLast, false)
+	for s := 0; s < lanes; s++ {
+		if h := zeroUnit(hid); h >= 0 {
+			ghLast[s*hid+h] = 0
+		}
+	}
+	return backwardCase{
+		name:   "GRU.BackwardBatch",
+		params: g.Params(),
+		ref: func() [][]float64 {
+			for s := 0; s < lanes; s++ {
+				gh := make([][]float64, T)
+				gh[T-1] = ghLast[s*hid : (s+1)*hid]
+				refGRUBackward(g, &tape, s, gh)
+			}
+			return nil
+		},
+		run: func() [][]float64 { g.BackwardBatch(&tape, ghLast); return nil },
+	}
+}
+
+func gruLaneCase(src *rng.Source, in, hid, T int) backwardCase {
 	g := NewGRU("gru", in, hid, rng.New(src.Uint64()))
 	seq := make([][]float64, T)
 	for ti := range seq {
@@ -518,35 +577,19 @@ func gruCase(src *rng.Source, in, hid, T int) backwardCase {
 	}
 	var tape GRUTape
 	g.ForwardTape(&tape, seq)
-	// z = 1 zeroes all three of a unit's rows; r = 0 zeroes its r row and
-	// the n row's Un multiplier, but not the n row itself; n = 1 zeroes
-	// the n row.
-	zu := zeroUnit(hid)
-	for ti := 0; ti < T; ti++ {
-		if zu >= 0 {
-			tape.z[ti][zu] = 1
-		}
-		tape.r[ti][src.Intn(hid)] = 0
-		tape.n[ti][src.Intn(hid)] = 1
-	}
-	redraw(src, seq)
-	redraw(src, tape.h[:T-1])
-	fillValues(src, g.Wx.W, false)
-	fillValues(src, g.Wh.W, false)
-	zeroRowWeights(src, g.Wx.W, 3, hid, in)
-	zeroRowWeights(src, g.Wh.W, 3, hid, hid)
+	gruOperands(src, g, &tape, 1)
 	gh := make([][]float64, T)
 	for ti := range gh {
 		gh[ti] = make([]float64, hid)
 		fillValues(src, gh[ti], false)
-		if zu >= 0 {
-			gh[ti][zu] = 0
+		if h := zeroUnit(hid); h >= 0 {
+			gh[ti][h] = 0
 		}
 	}
 	return backwardCase{
 		name:   "GRU.Backward",
 		params: g.Params(),
-		ref:    func() [][]float64 { return refGRUBackward(g, &tape, gh) },
+		ref:    func() [][]float64 { return refGRUBackward(g, &tape, 0, gh) },
 		run:    func() [][]float64 { return g.Backward(&tape, gh) },
 	}
 }

@@ -29,100 +29,132 @@ func NewGRU(name string, in, hidden int, src *rng.Source) *GRU {
 // Params implements Module.
 func (g *GRU) Params() []*Param { return []*Param{g.Wx, g.Wh, g.B} }
 
-// GRUTape records one forward pass for backpropagation through time. A
-// caller-owned tape reused across ForwardTape calls recycles its
-// arena-backed buffers.
+// GRUTape records a forward pass over b lanes, all from zero state, for
+// BPTT, laid out as laneTape describes.
 type GRUTape struct {
-	xs      [][]float64
-	z, r, n [][]float64
-	h       [][]float64
-	hPrev   []float64
-	// uhn caches Uh_n * h_prev (needed exactly in backward).
-	uhn [][]float64
-
-	ar   Arena
-	mark Mark
+	laneTape
+	z, r, n [][]float64 // gate activations per step
+	h       [][]float64 // hidden states per step
+	uhn     [][]float64 // Un·hPrev per step, which the backward needs exactly
+	hPrev   []float64   // initial state (zeros)
 }
 
-// T returns the sequence length.
-func (t *GRUTape) T() int { return len(t.xs) }
-
-// ForwardTape runs the GRU over seq from zero state, recording into a
-// reusable caller-owned tape. The returned hidden-state sequence is a view
-// into the tape, valid until its next use. The z/r gate preactivations use
-// the batched kernels; the n candidate keeps Uh_n·hPrev as a separate dot
-// (needed exactly in backward), so its accumulation chain is unchanged
-// too. The gates run through the gate kernel (gate.go), bit-identical to
-// Sigmoid and Tanh.
+// ForwardTape runs the GRU over one sequence seq from zero state as the
+// tape's one lane, as LSTM.ForwardTape does, and returns the hidden-state
+// sequence (a view into the tape, valid until its next use).
 func (g *GRU) ForwardTape(t *GRUTape, seq [][]float64) [][]float64 {
-	H := g.Hidden
-	T := len(seq)
-	t.ar.Reset()
-	t.hPrev = t.ar.Floats(H)
-	t.xs = t.ar.Rows(T)
-	t.z = t.ar.Matrix(T, H)
-	t.r = t.ar.Matrix(T, H)
-	t.n = t.ar.Matrix(T, H)
-	t.h = t.ar.Matrix(T, H)
-	t.uhn = t.ar.Matrix(T, H)
-	a := t.ar.Floats(3 * H) // gate preactivations, overwritten per step
+	t.oneLane(seq)
+	g.forward(t)
+	return t.h
+}
+
+// ForwardBatch runs the GRU over b step-major sequences of length T from
+// zero state as the tape's b lanes, as LSTM.ForwardBatch does, and returns
+// the final hidden states as one flat b*H view (the zero state when T is
+// 0).
+func (g *GRU) ForwardBatch(t *GRUTape, X []float64, b, T int) []float64 {
+	t.lanes(X, b, g.In, T)
+	return g.forward(t)
+}
+
+// forward is the one forward loop behind ForwardTape and ForwardBatch. It
+// computes every lane's preactivations with the packed kernel (kernel.go),
+// bit-identical to the scalar loop. Wx and Wh are packed in their z/r and
+// n row blocks so that each element keeps its chain: for z and r the bias,
+// the Wx terms, then the Wh terms; for the candidate the bias and the Wn
+// terms, with Un·hPrev a separate sum from +0 that r multiplies. The gate
+// kernel (gate.go) matches Sigmoid and Tanh bit for bit, so each lane's
+// values are those of a one-lane pass.
+func (g *GRU) forward(t *GRUTape) []float64 {
+	H, In, b := g.Hidden, g.In, t.b
+	T := t.T()
+	wxZR := packNT(&t.ar, g.Wx.W[:2*H*In], 2*H, In)
+	wxN := packNT(&t.ar, g.Wx.W[2*H*In:], H, In)
+	whZR := packNT(&t.ar, g.Wh.W[:2*H*H], 2*H, H)
+	un := packNT(&t.ar, g.Wh.W[2*H*H:], H, H)
+	t.hPrev = t.ar.Floats(b * H)
+	t.z = t.ar.Matrix(T, b*H)
+	t.r = t.ar.Matrix(T, b*H)
+	t.n = t.ar.Matrix(T, b*H)
+	t.h = t.ar.Matrix(T, b*H)
+	t.uhn = t.ar.Matrix(T, b*H)
+	azr := t.ar.Floats(b * 2 * H) // z and r preactivations, overwritten per step
+	an := t.ar.Floats(b * H)      // the candidate's bias + Wn·x, likewise
 	hPrev := t.hPrev
-	for ti, x := range seq {
-		// a[gate*H+h] = b + Wx·x for all three gates, then += Wh·hPrev for
-		// z and r only; each per-element dot runs in ascending order.
-		MatMulNT(a, x, 1, g.Wx.W, 3*H, g.In, g.B.W)
-		MatMulAccNT(a[:2*H], hPrev, 1, g.Wh.W[:2*H*H], 2*H, H)
+	for ti, x := range t.xs {
+		// azr[s*2H + gate*H + h] = b + Wx·x + Wh·hPrev for z and r, an[s*H
+		// + h] = b + Wn·x, uh[s*H + h] = Un·hPrev; each dot ascending.
+		wxZR.mul(azr, x, b, g.B.W[:2*H], false)
+		whZR.mul(azr, hPrev, b, nil, true)
+		wxN.mul(an, x, b, g.B.W[2*H:], false)
 		uh := t.uhn[ti]
-		MatMulNT(uh, hPrev, 1, g.Wh.W[2*H*H:], H, H, nil)
+		un.mul(uh, hPrev, b, nil, false)
 		zv, rv, nv, hv := t.z[ti], t.r[ti], t.n[ti], t.h[ti]
-		sigmoids(zv, a[:H])
-		sigmoids(rv, a[H:2*H])
+		for s := 0; s < b; s++ {
+			lo, hi := s*H, (s+1)*H
+			sigmoids(zv[lo:hi], azr[2*lo:2*lo+H])
+			sigmoids(rv[lo:hi], azr[2*lo+H:2*hi])
+		}
 		for h := range nv {
-			nv[h] = a[2*H+h] + rv[h]*uh[h]
+			nv[h] = an[h] + rv[h]*uh[h]
 		}
 		tanhs(nv, nv)
 		for h := range hv {
 			hv[h] = (1-zv[h])*nv[h] + zv[h]*hPrev[h]
 		}
-		t.xs[ti] = x
 		hPrev = hv
 	}
 	t.mark = t.ar.Mark()
-	return t.h
+	return hPrev
 }
 
-// Backward runs BPTT over the tape. gh holds dL/dh per step (nil = zero).
-// It accumulates parameter gradients and returns input gradients (views
-// into the tape's scratch, valid until its next use).
-func (g *GRU) Backward(tape *GRUTape, gh [][]float64) [][]float64 {
+// Backward runs BPTT through a one-lane tape. gh holds dL/dh per step
+// (len T; entries may be nil meaning zero). It accumulates parameter
+// gradients and returns input gradients (views into the tape's scratch,
+// valid until its next use).
+func (g *GRU) Backward(t *GRUTape, gh [][]float64) [][]float64 {
+	return g.bptt(t, 0, t.mark, gh)
+}
+
+// BackwardBatch backpropagates every lane of the tape from ghLast, the flat
+// b*H gradient into each lane's final hidden state, bit-identically to b
+// one-lane Backward calls.
+func (g *GRU) BackwardBatch(t *GRUTape, ghLast []float64) {
+	t.eachLane(ghLast, g.Hidden, func(s int, m Mark, gh [][]float64) { g.bptt(t, s, m, gh) })
+}
+
+// bptt is the one BPTT loop: it backpropagates lane s of the tape, drawing
+// its scratch from the arena at m.
+func (g *GRU) bptt(t *GRUTape, s int, m Mark, gh [][]float64) [][]float64 {
 	H, In := g.Hidden, g.In
-	T := tape.T()
-	ar := &tape.ar
-	ar.Rewind(tape.mark)
+	T := t.T()
+	lo, hi := s*H, (s+1)*H
+	ar := &t.ar
+	ar.Rewind(m)
 	gxs := ar.Rows(T)
 	dhNext := ar.Floats(H)
-	for t := T - 1; t >= 0; t-- {
-		dh := ar.Floats(H)
+	// Per-step scratch. da holds the preactivation gradients in the
+	// weights' row order (z, r, n); dah is da with the n rows times r, the
+	// factor the candidate's Un·hPrev term carries: a_n = Wn x + b + r ⊙
+	// (Un hPrev).
+	dh := ar.Floats(H)
+	dhPrev := ar.Floats(H)
+	da := ar.Floats(3 * H)
+	dah := ar.Floats(3 * H)
+	for ti := T - 1; ti >= 0; ti-- {
 		copy(dh, dhNext)
-		if t < len(gh) && gh[t] != nil {
+		if ti < len(gh) && gh[ti] != nil {
 			for h := 0; h < H; h++ {
-				dh[h] += gh[t][h]
+				dh[h] += gh[ti][h]
 			}
 		}
-		zv, rv, nv := tape.z[t], tape.r[t], tape.n[t]
-		uh := tape.uhn[t]
-		var hPrev []float64
-		if t == 0 {
-			hPrev = tape.hPrev
-		} else {
-			hPrev = tape.h[t-1]
+		zv, rv, nv, uh := t.z[ti][lo:hi], t.r[ti][lo:hi], t.n[ti][lo:hi], t.uhn[ti][lo:hi]
+		hPrev := t.hPrev
+		if ti > 0 {
+			hPrev = t.h[ti-1]
 		}
-		// da holds the preactivation gradients in the weights' row order
-		// (z, r, n); dah is da with the n rows times r, the factor the
-		// candidate's Un·hPrev term carries: a_n = Wn x + b + r ⊙ (Un hPrev).
-		da := ar.Floats(3 * H)
-		dah := ar.Floats(3 * H)
-		dhPrev := ar.Floats(H)
+		hPrev = hPrev[lo:hi]
+		clear(dhPrev)
 		for h := 0; h < H; h++ {
 			dz := dh[h] * (hPrev[h] - nv[h])
 			dn := dh[h] * (1 - zv[h])
@@ -142,10 +174,10 @@ func (g *GRU) Backward(tape *GRUTape, gh [][]float64) [][]float64 {
 		// Rows run hidden unit first, then gate; an n row with a nonzero
 		// dan runs its Un half even where dan*r is zero.
 		gx := ar.Floats(In)
-		accumRows(g.Wx.Grad, gx, g.Wx.W, tape.xs[t], da, da, H, 3, In)
+		accumRows(g.Wx.Grad, gx, g.Wx.W, t.xs[ti][s*In:(s+1)*In], da, da, H, 3, In)
 		accumRows(g.Wh.Grad, dhPrev, g.Wh.W, hPrev, dah, da, H, 3, H)
-		gxs[t] = gx
-		dhNext = dhPrev
+		gxs[ti] = gx
+		copy(dhNext, dhPrev)
 	}
 	return gxs
 }

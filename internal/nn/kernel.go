@@ -1,10 +1,10 @@
 package nn
 
 // Two AVX kernels, one per direction. Forward, packed-weight products for
-// the LSTM recurrence: on amd64 CPUs with AVX the full 16-row blocks of a
-// weight matrix run through an assembly micro-kernel that computes four
-// output rows per YMM register; everywhere else, and for the rows past the
-// last full block, the scalar gemmNT runs. Backward, accumRows: every
+// the LSTM and GRU recurrences: on amd64 CPUs with AVX the full 16-row
+// blocks of a weight matrix run through an assembly micro-kernel that
+// computes four output rows per YMM register; everywhere else, and for the
+// rows past the last full block, the scalar gemmNT runs. Backward, accumRows: every
 // backward pass adds its weight rows' gradients and input gradients four
 // lanes per YMM register, with the lanes past the last group in scalar Go.
 //

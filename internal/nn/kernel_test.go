@@ -86,10 +86,10 @@ func TestPackedKernelMatchesScalar(t *testing.T) {
 	t.Run("scalar", func(t *testing.T) { withKernels(false, useGateAVX, func() { check(t) }) })
 }
 
-// TestLSTMPackedMatchesScalar runs LSTM.ForwardTape, LSTM.ForwardBatch and
-// GRU.ForwardTape with the packed and the gate kernels each on (as the CPU
-// selects them) and off, at a width with a scalar tail (Hidden 6: one
-// 16-row block plus 8 rows, and one 4-lane gate group plus 2) and at a
+// TestLSTMPackedMatchesScalar runs the LSTM's and the GRU's ForwardTape and
+// ForwardBatch (b = 4) with the packed and the gate kernels each on (as
+// the CPU selects them) and off, at a width with a scalar tail (Hidden 6:
+// one 16-row block plus 8 rows, and one 4-lane gate group plus 2) and at a
 // whole number of blocks and groups (Hidden 32), and requires the bits of
 // the run with both off.
 func TestLSTMPackedMatchesScalar(t *testing.T) {
@@ -119,6 +119,8 @@ func TestLSTMPackedMatchesScalar(t *testing.T) {
 			for _, h := range g.ForwardTape(&gt, seq) {
 				out["GRU.ForwardTape"] = append(out["GRU.ForwardTape"], h...)
 			}
+			var gb GRUTape
+			out["GRU.ForwardBatch"] = append([]float64(nil), g.ForwardBatch(&gb, X, b, T)...)
 			return out
 		}
 		var want map[string][]float64

@@ -31,26 +31,15 @@ func NewLSTM(name string, in, hidden int, src *rng.Source) *LSTM {
 // Params implements Module.
 func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
-// LSTMTape records a forward pass over b lanes — b sequences of one
-// length, each from its own state — for BPTT. Every per-step buffer holds
-// the lanes back to back: lane s of step t sits at [s*H:(s+1)*H] of the
-// step's row, and its input at [s*In:(s+1)*In]. A caller-owned tape
-// reused across passes recycles its arena-backed buffers, so steady-state
-// passes allocate nothing.
+// LSTMTape records a forward pass over b lanes, each from its own state,
+// for BPTT, laid out as laneTape describes.
 type LSTMTape struct {
-	b            int         // lanes
-	xs           [][]float64 // inputs per step (b*In, the caller's)
+	laneTape
 	i, f, g, o   [][]float64 // gate activations per step
 	c, h         [][]float64 // cell and hidden states per step
 	tanhC        [][]float64 // tanh(c) per step
 	cPrev, hPrev []float64   // initial states
-
-	ar   Arena
-	mark Mark // arena state after the forward; backward passes rewind here
 }
-
-// T returns the sequence length of the tape.
-func (t *LSTMTape) T() int { return len(t.xs) }
 
 // ForwardTape runs the LSTM over one sequence seq (T steps of In
 // features) from the given initial hidden and cell states (nil means
@@ -59,10 +48,8 @@ func (t *LSTMTape) T() int { return len(t.xs) }
 // copies seq's spine but not its rows, which must stay valid until the
 // backward pass.
 func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]float64 {
-	t.ar.Reset()
-	t.xs = t.ar.Rows(len(seq))
-	copy(t.xs, seq)
-	l.forward(t, 1, h0, c0)
+	t.oneLane(seq)
+	l.forward(t, h0, c0)
 	return t.h
 }
 
@@ -72,13 +59,8 @@ func (l *LSTM) ForwardTape(t *LSTMTape, seq [][]float64, h0, c0 []float64) [][]f
 // BackwardBatch. It returns the final hidden states as one flat b*H block
 // (a view into the tape; the zero initial state when T is 0).
 func (l *LSTM) ForwardBatch(t *LSTMTape, X []float64, b, T int) []float64 {
-	t.ar.Reset()
-	t.xs = t.ar.Rows(T)
-	n := b * l.In
-	for ti := range t.xs {
-		t.xs[ti] = X[ti*n : (ti+1)*n]
-	}
-	return l.forward(t, b, nil, nil)
+	t.lanes(X, b, l.In, T)
+	return l.forward(t, nil, nil)
 }
 
 // forward is the one forward loop behind ForwardTape and ForwardBatch,
@@ -91,8 +73,8 @@ func (l *LSTM) ForwardBatch(t *LSTMTape, X []float64, b, T int) []float64 {
 // So each lane's values are those of a one-lane pass. Wx and Wh are packed
 // into the tape on every call, so the parameters stay the only copy an
 // optimizer step updates.
-func (l *LSTM) forward(t *LSTMTape, b int, h0, c0 []float64) []float64 {
-	H := l.Hidden
+func (l *LSTM) forward(t *LSTMTape, h0, c0 []float64) []float64 {
+	H, b := l.Hidden, t.b
 	T := len(t.xs)
 	wx := packNT(&t.ar, l.Wx.W, 4*H, l.In)
 	wh := packNT(&t.ar, l.Wh.W, 4*H, H)
@@ -102,7 +84,7 @@ func (l *LSTM) forward(t *LSTMTape, b int, h0, c0 []float64) []float64 {
 	if c0 == nil {
 		c0 = t.ar.Floats(b * H)
 	}
-	t.b, t.hPrev, t.cPrev = b, h0, c0
+	t.hPrev, t.cPrev = h0, c0
 	t.i = t.ar.Matrix(T, b*H)
 	t.f = t.ar.Matrix(T, b*H)
 	t.g = t.ar.Matrix(T, b*H)
@@ -158,25 +140,11 @@ func (l *LSTM) Backward(t *LSTMTape, gh [][]float64, dcT []float64) (gxs [][]flo
 	return l.bptt(t, 0, t.mark, gh, dcT)
 }
 
-// BackwardBatch backpropagates through every lane of the tape, such as a
-// ForwardBatch pass. ghLast is the flat b*H gradient flowing into each
-// lane's final hidden state (the only step the downstream head reads). The lanes run the one BPTT loop in
-// ascending order, so each parameter gradient adds their contributions in
-// the order b successive one-lane Backward calls would: the result is
-// bit-identical to them.
+// BackwardBatch backpropagates every lane of the tape, such as a
+// ForwardBatch pass, from ghLast, the flat b*H gradient into each lane's
+// final hidden state, bit-identically to b one-lane Backward calls.
 func (l *LSTM) BackwardBatch(t *LSTMTape, ghLast []float64) {
-	H := l.Hidden
-	T := t.T()
-	if T == 0 {
-		return
-	}
-	t.ar.Rewind(t.mark)
-	gh := t.ar.Rows(T)
-	m := t.ar.Mark() // lane scratch starts above the spine
-	for s := 0; s < t.b; s++ {
-		gh[T-1] = ghLast[s*H : (s+1)*H]
-		l.bptt(t, s, m, gh, nil)
-	}
+	t.eachLane(ghLast, l.Hidden, func(s int, m Mark, gh [][]float64) { l.bptt(t, s, m, gh, nil) })
 }
 
 // bptt is the one BPTT loop: it backpropagates lane s of the tape, drawing
