@@ -1,10 +1,13 @@
 // Command prismeval runs the paper's learning evaluation: Table 4 (both
 // time scales), the Table 13 ablation, Table 14 generalizability, the
-// Fig 17/18 transition analysis and the §6.1 runtime comparison.
+// Fig 17/18 transition analysis, the §6.1 runtime comparison and the
+// population streaming pipeline. The fault-severity sweep is a scenario
+// grid: prismgrid -config examples/grids/robustness.json.
 //
 // Usage:
 //
-//	prismeval [-quick] [-seed N] [-table4|-ablation|-general|-series|-runtime|-all]
+//	prismeval [-quick] [-seed N] [-workers N]
+//	          [-table4|-ablation|-general|-series|-runtime|-population|-all]
 //	          [-metrics file] [-journal file] [-pprof addr]
 //
 // The telemetry flags are off by default; any of them enables the
@@ -40,7 +43,6 @@ func main() {
 	doGeneral := flag.Bool("general", false, "run Table 14 generalizability")
 	doSeries := flag.Bool("series", false, "run the Fig 17/18 transition analysis")
 	doRuntime := flag.Bool("runtime", false, "run the §6.1 runtime comparison")
-	doRobust := flag.Bool("robust", false, "run the fault-severity robustness sweep")
 	doPop := flag.Bool("population", false, "run the population streaming pipeline: pop build -> JSONL spill -> streamed windows -> streamed training")
 	doAll := flag.Bool("all", false, "run everything")
 	teleFlags := obs.BindFlags(flag.CommandLine)
@@ -59,7 +61,7 @@ func main() {
 		cfg = experiments.QuickMLConfig(*seed)
 	}
 	cfg.Workers = *workers
-	if !(*doTable4 || *doAblation || *doGeneral || *doSeries || *doRuntime || *doRobust || *doPop) {
+	if !(*doTable4 || *doAblation || *doGeneral || *doSeries || *doRuntime || *doPop) {
 		*doAll = true
 	}
 
@@ -111,12 +113,6 @@ func main() {
 		for _, r := range experiments.RuntimeComparison(cfg) {
 			fmt.Printf("%-10s train %-10v infer %v/sample\n", r.Model, r.TrainTime.Round(1e6), r.InferPerSample)
 		}
-	}
-	if *doAll || *doRobust {
-		fmt.Println("\n== Robustness: RMSE vs fault severity (OpZ driving, 1 s scale) ==")
-		spec := sim.SubDatasetSpec{Operator: spectrum.OpZ, Mobility: mobility.Driving, Gran: sim.Long}
-		res := experiments.RobustnessSweep(spec, experiments.DefaultSeverities(), cfg)
-		fmt.Println(res.Format())
 	}
 	if *doAll || *doPop {
 		fmt.Println("\n== Population streaming pipeline (OpZ urban walking) ==")

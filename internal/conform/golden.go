@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"prism5g/internal/stats"
@@ -165,36 +163,12 @@ func MarshalGolden(c *Ctx, name string) ([]byte, error) {
 	return canonicalJSON(produce(c))
 }
 
-// UpdateGolden regenerates one fixture file under dir (the -update path).
-func UpdateGolden(c *Ctx, dir, name string) error {
-	b, err := MarshalGolden(c, name)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, name+".json"), b, 0o644)
-}
-
 // CompareGolden checks one golden against the embedded fixture.
 func CompareGolden(c *Ctx, name string) []Violation {
 	fixture, err := embeddedGoldens.ReadFile("testdata/golden/" + name + ".json")
 	if err != nil {
 		return []Violation{{Check: "golden/" + name,
 			Msg: fmt.Sprintf("missing embedded fixture (run tests with -update): %v", err)}}
-	}
-	return CompareGoldenAgainst(c, name, fixture)
-}
-
-// CompareGoldenDir checks one golden against the fixture file on disk,
-// which is what the package tests use so a freshly -updated fixture is
-// honored without rebuilding the embedding.
-func CompareGoldenDir(c *Ctx, dir, name string) []Violation {
-	fixture, err := os.ReadFile(filepath.Join(dir, name+".json"))
-	if err != nil {
-		return []Violation{{Check: "golden/" + name,
-			Msg: fmt.Sprintf("missing fixture (run tests with -update): %v", err)}}
 	}
 	return CompareGoldenAgainst(c, name, fixture)
 }

@@ -139,7 +139,7 @@ func checkRepairClean(c *Ctx) []Violation {
 	if err := json.Unmarshal(before, &cp); err != nil {
 		return []Violation{violate(name, "roundtrip", "dataset must round-trip JSON", err, "no error")}
 	}
-	vrep, rrep := cp.ValidateAndRepair(trace.DefaultRepairOpts())
+	vrep, rrep := cp.ValidateAndRepair()
 	if !vrep.OK() {
 		out = append(out, violate(name, "validate",
 			"a freshly simulated clean dataset failed validation",

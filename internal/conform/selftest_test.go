@@ -20,7 +20,7 @@ func TestNegativeTBSPerturbation(t *testing.T) {
 	if len(vs) == 0 {
 		t.Error("tbs-monotone did not flag a perturbed TBS entry")
 	}
-	gvs := CompareGoldenDir(ctx, goldenDir, "fig9")
+	gvs := compareGoldenDir(ctx, goldenDir, "fig9")
 	if len(gvs) == 0 {
 		t.Error("fig9 golden did not flag a perturbed TBS entry")
 	}
@@ -47,7 +47,7 @@ func TestNegativeCorrelationFlip(t *testing.T) {
 	if vs := checkCorrelationStructure(ctx); len(vs) == 0 {
 		t.Error("correlation-structure did not flag a flipped correlation sign")
 	}
-	if gvs := CompareGoldenDir(ctx, goldenDir, "fig11_13"); len(gvs) == 0 {
+	if gvs := compareGoldenDir(ctx, goldenDir, "fig11_13"); len(gvs) == 0 {
 		t.Error("fig11_13 golden did not flag a flipped correlation sign")
 	}
 }

@@ -50,8 +50,8 @@ type Options struct {
 	// (Fig 33/34 show Prism5G models each cell well; the auxiliary loss
 	// is what trains the per-CC heads to decompose the aggregate).
 	PerCCLossWeight float64
-	// Backbone selects the per-CC RNN: "lstm" (paper default) or "gru".
-	// The paper notes the RNN module is configurable.
+	// Backbone selects the per-CC RNN: "lstm" (paper default; "" means
+	// the same) or "gru". The paper notes the RNN module is configurable.
 	Backbone string
 	// SharedWeights shares one RNN across carriers (the paper's design,
 	// which cuts parameters and pools training signal); false gives each
@@ -106,10 +106,16 @@ type Prism5G struct {
 }
 
 // New builds a Prism5G model with history length T (the embedding layer's
-// input size depends on it).
+// input size depends on it). An empty Backbone means "lstm"; any other
+// name but "gru" panics, as a misspelt backbone would otherwise train the
+// default model.
 func New(opts Options, historyT int) *Prism5G {
-	if opts.Backbone == "" {
+	switch opts.Backbone {
+	case "":
 		opts.Backbone = "lstm"
+	case "lstm", "gru":
+	default:
+		panic(fmt.Sprintf("core: unknown backbone %q (known: lstm, gru)", opts.Backbone))
 	}
 	src := rng.New(opts.Train.Seed ^ 0x9515)
 	h := opts.Hidden
@@ -154,6 +160,10 @@ func (p *Prism5G) Name() string {
 		return "Prism5G-NoState"
 	case !p.Opts.UseFusion:
 		return "Prism5G-NoFusion"
+	case p.Opts.Backbone == "gru":
+		return "Prism5G-GRU"
+	case !p.Opts.SharedWeights:
+		return "Prism5G-Unshared"
 	default:
 		return "Prism5G"
 	}

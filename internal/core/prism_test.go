@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"prism5g/internal/nn"
@@ -194,6 +195,38 @@ func TestPrismNames(t *testing.T) {
 	}
 	if NewNoFusion(smallOpts(), 10).Name() != "Prism5G-NoFusion" {
 		t.Fatal("nofusion name")
+	}
+	gru := smallOpts()
+	gru.Backbone = "gru"
+	if got := New(gru, 10).Name(); got != "Prism5G-GRU" {
+		t.Fatalf("gru name %q", got)
+	}
+	unshared := smallOpts()
+	unshared.SharedWeights = false
+	if got := New(unshared, 10).Name(); got != "Prism5G-Unshared" {
+		t.Fatalf("unshared name %q", got)
+	}
+	// The Table 13 ablations keep their names on either design choice.
+	if got := NewNoState(gru, 10).Name(); got != "Prism5G-NoState" {
+		t.Fatalf("gru nostate name %q", got)
+	}
+}
+
+// TestPrismUnknownBackbonePanics requires New to refuse a backbone it does
+// not build instead of training the default LSTM under that name.
+func TestPrismUnknownBackbonePanics(t *testing.T) {
+	for _, name := range []string{"GRU", "rnn"} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "lstm, gru") {
+					t.Errorf("backbone %q: recovered %v, want a panic naming the known backbones", name, r)
+				}
+			}()
+			o := smallOpts()
+			o.Backbone = name
+			New(o, 10)
+		}()
 	}
 }
 

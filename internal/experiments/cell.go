@@ -72,18 +72,18 @@ func PredictCell(spec sim.SubDatasetSpec, model string, cfg MLConfig, ax CellAxe
 	return res[0]
 }
 
-// runCell is the one experiment cell behind Table4Cell, PredictCell,
-// RobustnessSweep and Table13Ablation: it builds the campaign under the
-// axes, windows and splits it, trains the models through TrainAll on the
-// valid train/val windows and scores each on the test split with
-// EvaluateSkipping. Degraded cells (severity > 0) also run the
-// validate-and-repair ingest and wrap every model in Resilient. It returns
-// one result and one training report per model, in model order.
+// runCell is the one experiment cell behind Table4Cell, PredictCell and
+// Table13Ablation: it builds the campaign under the axes, windows and
+// splits it, trains the models through TrainAll on the valid train/val
+// windows and scores each on the test split with EvaluateSkipping.
+// Degraded cells (severity > 0) also run the validate-and-repair ingest
+// and wrap every model in Resilient. It returns one result and one
+// training report per model, in model order.
 func runCell(spec sim.SubDatasetSpec, models []string, cfg MLConfig, ax CellAxes) ([]PredictCellResult, []predictors.TrainReport) {
 	ds, faultRep := sim.BuildReport(spec, ax.buildOpts(cfg))
 	repaired := 0
 	if ax.Severity > 0 {
-		_, rep := ds.ValidateAndRepair(trace.DefaultRepairOpts())
+		_, rep := ds.ValidateAndRepair()
 		repaired = rep.Total()
 	}
 	prob := prepareProblem(spec, ds, cfg)

@@ -20,6 +20,20 @@ func tinyML() MLConfig {
 	}
 }
 
+// TestModelNamesMatchColumns requires every model NewModel builds to
+// report its Table 4 column name, the name Resilient's summary prints, and
+// an unknown name to fail listing the known ones.
+func TestModelNamesMatchColumns(t *testing.T) {
+	for _, name := range KnownModels() {
+		if got := buildModel(name, &Problem{}, tinyML()).Name(); got != name {
+			t.Errorf("model %q reports Name() %q", name, got)
+		}
+	}
+	if _, err := NewModel("GRU", nil, 8, tinyML().trainOpts()); err == nil || !strings.Contains(err.Error(), "Prism5G-Unshared") {
+		t.Fatalf("unknown model: err %v, want one listing the known models", err)
+	}
+}
+
 func TestFig1ShapesHold(t *testing.T) {
 	rows := Fig1IdealThroughputByCC(spectrum.OpZ, spectrum.NR, 5)
 	if len(rows) < 3 {

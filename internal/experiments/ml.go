@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"prism5g/internal/core"
@@ -83,13 +84,13 @@ func BuildProblem(spec sim.SubDatasetSpec, cfg MLConfig) *Problem {
 	return prepareProblem(spec, sim.Build(spec, CellAxes{}.buildOpts(cfg)), cfg)
 }
 
-// KnownModels lists every Table 4 column name buildModel accepts.
+// KnownModels lists every Table 4 column name NewModel accepts.
 func KnownModels() []string {
 	return []string{"Prophet", "LSTM", "TCN", "Lumos5G", "GBDT", "RF",
 		"Prism5G", "Prism5G-NoState", "Prism5G-NoFusion", "Prism5G-GRU", "Prism5G-Unshared"}
 }
 
-// IsKnownModel reports whether buildModel accepts the name; callers should
+// IsKnownModel reports whether NewModel accepts the name; callers should
 // check it before launching a run, since an unknown name panics only after
 // the dataset has already been built.
 func IsKnownModel(name string) bool {
@@ -101,52 +102,51 @@ func IsKnownModel(name string) bool {
 	return false
 }
 
-// buildModel constructs a predictor by Table 4 column name.
-func buildModel(name string, prob *Problem, cfg MLConfig) predictors.Predictor {
-	topts := cfg.trainOpts()
+// NewModel constructs a predictor by Table 4 column name, forecasting 10
+// steps from 10 steps of history: ds is the campaign Prophet fits, hidden
+// the network width and topts the optimizer settings, whose Seed also seeds
+// the tree ensembles. An unknown name returns an error listing
+// KnownModels.
+func NewModel(name string, ds *trace.Dataset, hidden int, topts predictors.TrainOpts) (predictors.Predictor, error) {
+	opts := core.DefaultOptions()
+	opts.Hidden = hidden
+	opts.Train = topts
 	switch name {
 	case "Prophet":
-		return predictors.NewProphetPredictor(prob.Dataset, ml.DefaultProphetOpts())
+		return predictors.NewProphetPredictor(ds, ml.DefaultProphetOpts()), nil
 	case "LSTM":
-		return predictors.NewLSTMPredictor(cfg.Hidden, 10, topts)
+		return predictors.NewLSTMPredictor(hidden, 10, topts), nil
 	case "TCN":
-		return predictors.NewTCNPredictor(cfg.Hidden, 10, topts)
+		return predictors.NewTCNPredictor(hidden, 10, topts), nil
 	case "Lumos5G":
-		return predictors.NewLumos5G(cfg.Hidden, 10, topts)
+		return predictors.NewLumos5G(hidden, 10, topts), nil
 	case "GBDT":
-		return predictors.NewTreePredictor(predictors.KindGBDT, 10, cfg.Seed)
+		return predictors.NewTreePredictor(predictors.KindGBDT, 10, topts.Seed), nil
 	case "RF":
-		return predictors.NewTreePredictor(predictors.KindRF, 10, cfg.Seed)
+		return predictors.NewTreePredictor(predictors.KindRF, 10, topts.Seed), nil
 	case "Prism5G":
-		opts := core.DefaultOptions()
-		opts.Hidden = cfg.Hidden
-		opts.Train = topts
-		return core.New(opts, 10)
+		return core.New(opts, 10), nil
 	case "Prism5G-NoState":
-		opts := core.DefaultOptions()
-		opts.Hidden = cfg.Hidden
-		opts.Train = topts
-		return core.NewNoState(opts, 10)
+		return core.NewNoState(opts, 10), nil
 	case "Prism5G-NoFusion":
-		opts := core.DefaultOptions()
-		opts.Hidden = cfg.Hidden
-		opts.Train = topts
-		return core.NewNoFusion(opts, 10)
+		return core.NewNoFusion(opts, 10), nil
 	case "Prism5G-GRU":
-		opts := core.DefaultOptions()
-		opts.Hidden = cfg.Hidden
-		opts.Train = topts
 		opts.Backbone = "gru"
-		return core.New(opts, 10)
+		return core.New(opts, 10), nil
 	case "Prism5G-Unshared":
-		opts := core.DefaultOptions()
-		opts.Hidden = cfg.Hidden
-		opts.Train = topts
 		opts.SharedWeights = false
-		return core.New(opts, 10)
-	default:
-		panic("experiments: unknown model " + name)
+		return core.New(opts, 10), nil
 	}
+	return nil, fmt.Errorf("experiments: unknown model %q (known: %s)", name, strings.Join(KnownModels(), ", "))
+}
+
+// buildModel is NewModel at the experiment's scale; an unknown name panics.
+func buildModel(name string, prob *Problem, cfg MLConfig) predictors.Predictor {
+	p, err := NewModel(name, prob.Dataset, cfg.Hidden, cfg.trainOpts())
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // CellResult is one (sub-dataset, model) RMSE cell of Table 4.
@@ -239,7 +239,7 @@ func (r Table4Result) Format() string {
 		models[c.Model] = true
 	}
 	var order []string
-	for _, m := range []string{"Prophet", "LSTM", "TCN", "Lumos5G", "GBDT", "RF", "Prism5G", "Prism5G-NoState", "Prism5G-NoFusion"} {
+	for _, m := range KnownModels() {
 		if models[m] {
 			order = append(order, m)
 		}

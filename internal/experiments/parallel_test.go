@@ -3,9 +3,7 @@ package experiments
 import (
 	"testing"
 
-	"prism5g/internal/mobility"
 	"prism5g/internal/sim"
-	"prism5g/internal/spectrum"
 )
 
 // stripTimes zeroes the wall-clock fields so cells compare on the
@@ -46,40 +44,5 @@ func TestTable4DeterminismAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d cell %d differs:\n got %+v\nwant %+v", w, i, got[i], serial[i])
 			}
 		}
-	}
-}
-
-// TestRobustnessSweepDeterminismAcrossWorkers extends the contract to the
-// severity sweep, whose rows build fault-injected datasets and train
-// resilient-wrapped models concurrently.
-func TestRobustnessSweepDeterminismAcrossWorkers(t *testing.T) {
-	spec := sim.SubDatasetSpec{Operator: spectrum.OpZ, Mobility: mobility.Driving, Gran: sim.Long}
-	cfg := MLConfig{
-		Traces: 3, SamplesPerTrace: 100, Stride: 4,
-		Hidden: 8, Epochs: 4, Patience: 2, Seed: 22,
-		Models: []string{"LSTM"},
-	}
-	severities := []float64{0, 0.5}
-	run := func(workers int) []RobustnessCell {
-		c := cfg
-		c.Workers = workers
-		return RobustnessSweep(spec, severities, c).Cells
-	}
-	serial := run(1)
-	if len(serial) != len(severities) {
-		t.Fatalf("serial sweep produced %d cells", len(serial))
-	}
-	parallel := run(4)
-	if len(parallel) != len(serial) {
-		t.Fatalf("parallel sweep produced %d cells, want %d", len(parallel), len(serial))
-	}
-	for i := range parallel {
-		if parallel[i] != serial[i] {
-			t.Fatalf("cell %d differs:\n got %+v\nwant %+v", i, parallel[i], serial[i])
-		}
-	}
-	// The clean row anchors degradation: severity 0 reports 0%.
-	if serial[0].Severity != 0 || serial[0].DegradationPct != 0 {
-		t.Fatalf("clean row malformed: %+v", serial[0])
 	}
 }

@@ -98,8 +98,8 @@ type TimeJitterFault struct {
 }
 
 // DropoutFault deletes spans of samples — XCAL-style logging gaps. The
-// resulting trace has timestamp discontinuities that trace.FindGaps
-// detects and the imputation policies can refill.
+// resulting trace has timestamp discontinuities that trace.Validate
+// reports as gaps and trace.Repair refills.
 type DropoutFault struct {
 	// RatePerMin is the Poisson arrival rate of gaps (0 disables).
 	RatePerMin float64

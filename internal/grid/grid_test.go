@@ -3,6 +3,7 @@ package grid
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -271,8 +272,16 @@ func TestGridPredictDeterminism(t *testing.T) {
 	if clean.Injected != 0 || degraded.Injected == 0 {
 		t.Fatalf("fault counters wrong: clean %d, degraded %d", clean.Injected, degraded.Injected)
 	}
-	if clean.RMSE <= 0 || degraded.RMSE <= 0 {
-		t.Fatalf("non-positive RMSE: %v / %v", clean.RMSE, degraded.RMSE)
+	if degraded.Repaired == 0 {
+		t.Fatalf("degraded cell repaired nothing: %+v", degraded)
+	}
+	if clean.Repaired != 0 || clean.Retries != 0 || clean.Fallback || clean.SkippedWindows != 0 {
+		t.Fatalf("clean cell shows interventions: %+v", clean)
+	}
+	for _, rmse := range []float64{clean.RMSE, degraded.RMSE} {
+		if !(rmse > 0) || math.IsInf(rmse, 0) {
+			t.Fatalf("RMSE not finite and positive: clean %v, degraded %v", clean.RMSE, degraded.RMSE)
+		}
 	}
 }
 

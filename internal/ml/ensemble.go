@@ -57,9 +57,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.trees))
 }
 
-// NumTrees returns the ensemble size.
-func (f *Forest) NumTrees() int { return len(f.trees) }
-
 // GBDTOpts configures gradient boosting.
 type GBDTOpts struct {
 	Trees     int
@@ -121,6 +118,3 @@ func (g *GBDT) Predict(x []float64) float64 {
 	}
 	return s
 }
-
-// NumTrees returns the number of boosting stages.
-func (g *GBDT) NumTrees() int { return len(g.trees) }

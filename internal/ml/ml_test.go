@@ -7,6 +7,30 @@ import (
 	"prism5g/internal/rng"
 )
 
+// Depth returns the maximum depth of the tree (root = 0).
+func (t *Tree) Depth() int {
+	var walk func(ni, d int) int
+	walk = func(ni, d int) int {
+		n := t.nodes[ni]
+		if n.feature < 0 {
+			return d
+		}
+		l := walk(n.left, d+1)
+		r := walk(n.right, d+1)
+		if l > r {
+			return l
+		}
+		return r
+	}
+	return walk(0, 0)
+}
+
+// NumTrees returns the ensemble size.
+func (f *Forest) NumTrees() int { return len(f.trees) }
+
+// NumTrees returns the number of boosting stages.
+func (g *GBDT) NumTrees() int { return len(g.trees) }
+
 // stepData is a dataset where y depends on a threshold of feature 0.
 func stepData(src *rng.Source, n int) ([][]float64, []float64) {
 	X := make([][]float64, n)

@@ -176,21 +176,3 @@ func (t *Tree) Predict(x []float64) float64 {
 		}
 	}
 }
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int {
-	var walk func(ni, d int) int
-	walk = func(ni, d int) int {
-		n := t.nodes[ni]
-		if n.feature < 0 {
-			return d
-		}
-		l := walk(n.left, d+1)
-		r := walk(n.right, d+1)
-		if l > r {
-			return l
-		}
-		return r
-	}
-	return walk(0, 0)
-}

@@ -190,17 +190,6 @@ func (d *Deployment) Nearest(p Point) (int, float64) {
 	return best, bd
 }
 
-// SitesWithin returns indices of sites within radius r of p.
-func (d *Deployment) SitesWithin(p Point, r float64) []int {
-	var out []int
-	for i, s := range d.Sites {
-		if s.Dist(p) <= r {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Mover produces a UE trajectory through a scenario. Advance it with Step
 // and read Pos. All movers are deterministic given their source.
 type Mover struct {
@@ -296,6 +285,3 @@ func (m *Mover) Step(dt float64) float64 {
 func GridCell(p Point, cellM float64) (int, int) {
 	return int(math.Floor(p.X / cellM)), int(math.Floor(p.Y / cellM))
 }
-
-// FormatGrid renders a small integer grid id as "x,y".
-func FormatGrid(x, y int) string { return fmt.Sprintf("%d,%d", x, y) }

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -164,9 +163,6 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Inc is Add(1).
-func (c *Counter) Inc() { c.Add(1) }
-
 // Value returns the current count (readable even while disabled).
 func (c *Counter) Value() int64 { return c.v.Load() }
 
@@ -242,25 +238,6 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Names returns every instrument name present, sorted — mostly a test and
-// debugging aid.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for n := range r.counters {
-		out = append(out, n)
-	}
-	for n := range r.gauges {
-		out = append(out, n)
-	}
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // def is the process-global registry; it starts disabled so library code

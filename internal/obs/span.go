@@ -10,9 +10,7 @@ import "time"
 //	defer sp.End()
 //
 // Ending a span records its duration (seconds) into the histogram named
-// after it and emits a "span" journal event. Nesting is explicit: Child
-// derives a span whose name is parent/child, which keeps the hierarchy
-// visible in metric names without goroutine-local magic.
+// after it and emits a "span" journal event.
 type Span struct {
 	r     *Registry
 	name  string
@@ -26,14 +24,6 @@ func (r *Registry) StartSpan(name string) Span {
 		return Span{}
 	}
 	return Span{r: r, name: name, start: time.Now()}
-}
-
-// Child opens a nested span named parent/name, started now.
-func (s Span) Child(name string) Span {
-	if s.r == nil {
-		return Span{}
-	}
-	return s.r.StartSpan(s.name + "/" + name)
 }
 
 // Active reports whether the span records (false for the disabled path).

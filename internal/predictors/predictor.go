@@ -161,14 +161,8 @@ func EvaluateSkipping(p Predictor, ws []trace.Window) (rmse float64, skipped int
 // serving-cell view, which is the gap Prism5G exploits.
 const AggFeatureDim = 9
 
-// AggFeatures extracts the baseline feature sequence [T][AggFeatureDim]
-// from a window.
-func AggFeatures(w trace.Window) [][]float64 {
-	return aggFeaturesInto(new(nn.Arena), w)
-}
-
-// aggFeaturesInto draws the AggFeatures sequence from ar, so hot paths
-// build it without allocating.
+// aggFeaturesInto draws the baseline feature sequence [T][AggFeatureDim]
+// of a window from ar, so hot paths build it without allocating.
 func aggFeaturesInto(ar *nn.Arena, w trace.Window) [][]float64 {
 	T := len(w.AggHist())
 	out := ar.Rows(T)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"prism5g/internal/ml"
+	"prism5g/internal/nn"
 	"prism5g/internal/rng"
 	"prism5g/internal/trace"
 )
@@ -109,7 +110,7 @@ func persistenceRMSE(ws []trace.Window) float64 {
 
 func TestAggFeaturesShape(t *testing.T) {
 	_, _, train, _, _ := problem(t, 1)
-	f := AggFeatures(train[0])
+	f := aggFeaturesInto(new(nn.Arena), train[0])
 	if len(f) != 10 || len(f[0]) != AggFeatureDim {
 		t.Fatalf("shape = %dx%d", len(f), len(f[0]))
 	}

@@ -256,8 +256,6 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// Reported quantities come from SSB measurements: unaffected by
 		// PDSCH power policy.
 		reportedSINR := rs.SINRdB + fade
-		cqi := phy.CQIFromSINR(reportedSINR)
-		mcs := phy.MCSFromCQI(cqi)
 
 		// PDSCH conditioning under CA (paper Fig 14): deep combos reduce
 		// SCell transmit power on FDD carriers, collapsing spatial rank
@@ -267,8 +265,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			effSINR := reportedSINR + s.PDSCHOffsetDeepCA
 			maxRank = phy.RankFromSINR(effSINR, 1)
 		}
-		layers := phy.RankFromSINR(reportedSINR, maxRank)
-		bler := phy.BLER(reportedSINR - phy.SINRForCQI(cqi) - lag)
+		la := phy.Adapt(reportedSINR, maxRank, lag)
 
 		// RB share: background load plus CA throttling (paper Fig 15).
 		load := cell.Load()
@@ -330,15 +327,11 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 					ulCCs++
 				}
 			}
-			effSINR := reportedSINR + ul.PowerOffsetDB
-			cqi = phy.CQIFromSINR(effSINR)
-			mcs = phy.MCSFromCQI(cqi)
 			ulRank := cell.MaxRank
 			if ulRank > ul.MaxRank {
 				ulRank = ul.MaxRank
 			}
-			layers = phy.RankFromSINR(effSINR, ulRank)
-			bler = phy.BLER(effSINR - phy.SINRForCQI(cqi) - lag)
+			la = phy.Adapt(reportedSINR+ul.PowerOffsetDB, ulRank, lag)
 			rb *= ul.GrantRatio
 			if cell.IsTDD() {
 				slotFrac = 1 - phy.TDDDownlinkFraction
@@ -347,9 +340,9 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		tput := 0.0
 		if active {
 			nRE := phy.NumRE(int(rb), phy.SymbolsPerSlot-1)
-			bitsPerSlot := phy.TBS(nRE, mcs, layers)
+			bitsPerSlot := phy.TBS(nRE, la.MCS, la.Layers)
 			slots := float64(phy.SlotsPerSecond(cell.Chan.SCSKHz)) * slotFrac
-			tput = float64(bitsPerSlot) * slots * (1 - bler) * s.SchedulingEfficiency / 1e6
+			tput = float64(bitsPerSlot) * slots * (1 - la.BLER) * s.SchedulingEfficiency / 1e6
 		}
 		obs := CCObservation{
 			CellID:    cell.ID(),
@@ -361,10 +354,10 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			RSRPdBm:   rs.RSRPdBm,
 			RSRQdB:    rs.RSRQdB,
 			SINRdB:    reportedSINR,
-			CQI:       cqi,
-			BLER:      bler,
-			MCS:       mcs.Index,
-			Layers:    layers,
+			CQI:       la.CQI,
+			BLER:      la.BLER,
+			MCS:       la.MCS.Index,
+			Layers:    la.Layers,
 			RB:        rb,
 			TputMbps:  tput,
 		}

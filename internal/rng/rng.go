@@ -121,31 +121,6 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Choice returns a pseudo-random index in [0, len(weights)) with probability
-// proportional to weights[i]. Zero or negative total weight panics.
-func (s *Source) Choice(weights []float64) int {
-	total := 0.0
-	for _, w := range weights {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		panic("rng: Choice with non-positive total weight")
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}
-
 // OU is a discrete Ornstein-Uhlenbeck process used for temporally correlated
 // noise (e.g. shadow-fading evolution, load fluctuation). It relaxes toward
 // Mean with rate Theta and is driven by Gaussian noise of scale Sigma.

@@ -144,23 +144,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestChoiceDistribution(t *testing.T) {
-	s := New(29)
-	w := []float64{1, 0, 3}
-	counts := make([]int, 3)
-	const n = 60000
-	for i := 0; i < n; i++ {
-		counts[s.Choice(w)]++
-	}
-	if counts[1] != 0 {
-		t.Fatalf("zero-weight index chosen %d times", counts[1])
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.7 || ratio > 3.3 {
-		t.Fatalf("weight ratio = %f, want ~3", ratio)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
 	s := New(31)
 	const n = 100000

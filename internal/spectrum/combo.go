@@ -96,27 +96,6 @@ func (c Combo) Kind() ComboKind {
 	return IntraBandContiguous
 }
 
-// MixedDuplex reports whether the combo aggregates FDD and TDD carriers
-// (e.g. OpZ's FDD-TDD CA that extends indoor coverage, paper Fig 28).
-func (c Combo) MixedDuplex() bool {
-	if len(c) == 0 {
-		return false
-	}
-	d := c[0].Band.Duplex
-	for _, ch := range c[1:] {
-		if ch.Band.Duplex != d {
-			return true
-		}
-	}
-	return false
-}
-
-// HasLowBandPCell reports whether the PCell is a low-band carrier, the
-// coverage-extending configuration OpZ uses indoors.
-func (c Combo) HasLowBandPCell() bool {
-	return len(c) > 0 && c[0].Band.Class() == LowBand
-}
-
 // ComboCensus accumulates observed combos, counting ordered combos and
 // unique channel sets separately — the "270/162"-style pairs in Table 2(b).
 type ComboCensus struct {

@@ -184,24 +184,6 @@ func TestComboKind(t *testing.T) {
 	}
 }
 
-func TestComboMixedDuplexAndLowBandPCell(t *testing.T) {
-	z := PlanFor(OpZ)
-	fddTdd := Combo{mustByID(z, "n71^a"), mustByID(z, "n41^a")}
-	if !fddTdd.MixedDuplex() {
-		t.Error("n71+n41 should be mixed duplex")
-	}
-	if !fddTdd.HasLowBandPCell() {
-		t.Error("n71 PCell should be low band")
-	}
-	tddOnly := Combo{mustByID(z, "n41^a"), mustByID(z, "n41^b")}
-	if tddOnly.MixedDuplex() {
-		t.Error("n41+n41 is not mixed duplex")
-	}
-	if tddOnly.HasLowBandPCell() {
-		t.Error("n41 PCell is mid band")
-	}
-}
-
 func TestComboKeys(t *testing.T) {
 	z := PlanFor(OpZ)
 	c1 := Combo{mustByID(z, "n41^a"), mustByID(z, "n25^a")}

@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // Histogram is a fixed-bin histogram over [Lo, Hi). Values outside the range
@@ -81,26 +80,6 @@ func (h *Histogram) Modes(minDensity float64, minGap int) []float64 {
 		}
 	}
 	return modes
-}
-
-// ASCII renders the histogram as a simple fixed-width ASCII chart, used by
-// the CLI tools to "plot" figures in the terminal.
-func (h *Histogram) ASCII(width int) string {
-	var b strings.Builder
-	maxC := 0
-	for _, c := range h.Counts {
-		if c > maxC {
-			maxC = c
-		}
-	}
-	for i, c := range h.Counts {
-		bar := 0
-		if maxC > 0 {
-			bar = c * width / maxC
-		}
-		fmt.Fprintf(&b, "%10.1f |%s %d\n", h.BinCenter(i), strings.Repeat("#", bar), c)
-	}
-	return b.String()
 }
 
 // ViolinSummary captures the quantile skeleton of a distribution: enough to

@@ -4,13 +4,9 @@
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by functions that need at least one observation.
-var ErrEmpty = errors.New("stats: empty input")
 
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
 func Mean(xs []float64) float64 {
@@ -95,21 +91,6 @@ func RMSE(pred, truth []float64) float64 {
 		s += d * d
 	}
 	return math.Sqrt(s / float64(len(pred)))
-}
-
-// MAE returns the mean absolute error between predictions and targets.
-func MAE(pred, truth []float64) float64 {
-	if len(pred) != len(truth) {
-		panic("stats: MAE length mismatch")
-	}
-	if len(pred) == 0 {
-		return math.NaN()
-	}
-	s := 0.0
-	for i := range pred {
-		s += math.Abs(pred[i] - truth[i])
-	}
-	return s / float64(len(pred))
 }
 
 // Pearson returns the Pearson correlation coefficient between xs and ys.

@@ -29,7 +29,6 @@ func TestEmptyInputsAreNaN(t *testing.T) {
 		"max":      Max(nil),
 		"quantile": Quantile(nil, 0.5),
 		"rmse":     RMSE(nil, nil),
-		"mae":      MAE(nil, nil),
 		"pearson":  Pearson(nil, nil),
 	} {
 		if !math.IsNaN(v) {
@@ -242,16 +241,5 @@ func TestMinMaxSum(t *testing.T) {
 	xs := []float64{3, -1, 4, 1, 5}
 	if Min(xs) != -1 || Max(xs) != 5 || Sum(xs) != 12 {
 		t.Fatalf("min/max/sum = %f/%f/%f", Min(xs), Max(xs), Sum(xs))
-	}
-}
-
-func TestHistogramASCII(t *testing.T) {
-	h := NewHistogram(0, 4, 4)
-	h.Add(1)
-	h.Add(1)
-	h.Add(3)
-	s := h.ASCII(10)
-	if s == "" {
-		t.Fatal("empty ASCII output")
 	}
 }

@@ -33,13 +33,12 @@ func degradedDataset(traces, samples int) *Dataset {
 // region each iteration (Repair mutates its receiver). Paired with
 // BENCH_obs.json via scripts/benchjson.sh.
 func BenchmarkRepair(b *testing.B) {
-	opts := DefaultRepairOpts()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		d := degradedDataset(4, 200)
 		b.StartTimer()
-		rep := d.Repair(opts)
+		rep := d.Repair()
 		if rep.Total() == 0 {
 			b.Fatal("repair found nothing to fix in degraded data")
 		}

@@ -182,13 +182,13 @@ func (d *Dataset) WriteJSON(w io.Writer) error {
 }
 
 // ReadJSON decodes a dataset previously written by WriteJSON, then
-// validates and repairs it with the default hold-last policy: corrupted
-// fields are imputed, timestamps re-monotonized and logging gaps refilled
-// instead of silently poisoning the scaler and the training windows.
+// validates and repairs it (see Dataset.Repair): corrupted fields are
+// imputed, timestamps re-monotonized and logging gaps refilled instead of
+// silently poisoning the scaler and the training windows.
 // Decode failures return a wrapped error; use ReadJSONReport to inspect
 // what validation found and repair fixed.
 func ReadJSON(r io.Reader) (*Dataset, error) {
-	d, _, _, err := ReadJSONReport(r, DefaultRepairOpts())
+	d, _, _, err := ReadJSONReport(r)
 	return d, err
 }
 
@@ -202,10 +202,9 @@ func ReadJSONRaw(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// ReadJSONReport decodes, validates and repairs with the given options,
-// returning both the as-ingested validation findings and the applied
-// fixes.
-func ReadJSONReport(r io.Reader, opts RepairOpts) (*Dataset, *ValidationReport, RepairReport, error) {
+// ReadJSONReport decodes, validates and repairs, returning both the
+// as-ingested validation findings and the applied fixes.
+func ReadJSONReport(r io.Reader) (*Dataset, *ValidationReport, RepairReport, error) {
 	d, err := ReadJSONRaw(r)
 	if err != nil {
 		return nil, nil, RepairReport{}, err
@@ -226,6 +225,6 @@ func ReadJSONReport(r io.Reader, opts RepairOpts) (*Dataset, *ValidationReport, 
 			d.Traces[i].StepS = d.StepS
 		}
 	}
-	vrep, rrep := d.ValidateAndRepair(opts)
+	vrep, rrep := d.ValidateAndRepair()
 	return d, vrep, rrep, nil
 }

@@ -149,6 +149,10 @@ func (r *ValidationReport) add(e *ValidationError) {
 // multiple of the nominal step.
 const DefaultGapFactor = 1.5
 
+// maxGapFill caps the samples Repair inserts into one gap, so one corrupt
+// timestamp cannot balloon a trace.
+const maxGapFill = 120
+
 // MaxActiveCCs bounds NumActiveCCs wherever samples enter: the deepest
 // combos in the study are 8CC mmWave (more than the MaxCC feature slots,
 // which hold the top carriers); anything past 16 is corrupt data, not
@@ -275,95 +279,6 @@ func validateTrace(t *Trace, ti int, rep *ValidationReport) {
 	}
 }
 
-// Gap is one detected logging dropout.
-type Gap struct {
-	// TraceIdx locates the trace (-1 for single-trace scans).
-	TraceIdx int
-	// AfterIdx is the sample index the gap begins after.
-	AfterIdx int
-	// MissingSteps estimates how many samples the logger dropped.
-	MissingSteps int
-}
-
-// FindGaps scans for timestamp discontinuities wider than
-// gapFactor*StepS (pass 0 for DefaultGapFactor).
-func (t *Trace) FindGaps(gapFactor float64) []Gap {
-	if gapFactor <= 0 {
-		gapFactor = DefaultGapFactor
-	}
-	if t.StepS <= 0 {
-		return nil
-	}
-	var out []Gap
-	for i := 1; i < len(t.Samples); i++ {
-		dt := t.Samples[i].T - t.Samples[i-1].T
-		if !finite(dt) || dt <= gapFactor*t.StepS {
-			continue
-		}
-		missing := int(math.Round(dt/t.StepS)) - 1
-		if missing < 1 {
-			missing = 1
-		}
-		out = append(out, Gap{TraceIdx: -1, AfterIdx: i - 1, MissingSteps: missing})
-	}
-	return out
-}
-
-// ImputePolicy selects how Repair fills corrupted fields and logging gaps.
-type ImputePolicy uint8
-
-const (
-	// ImputeHoldLast repeats the last valid value (XCAL practice for
-	// missing diagnostics rows).
-	ImputeHoldLast ImputePolicy = iota
-	// ImputeLinear interpolates between the valid neighbours.
-	ImputeLinear
-	// ImputeZeroMask fills gaps with carrier-inactive samples: the
-	// FActive mask is zeroed so CA-aware consumers (Prism5G's state
-	// gating) skip the imputed span instead of trusting invented radio
-	// values.
-	ImputeZeroMask
-)
-
-// String implements fmt.Stringer.
-func (p ImputePolicy) String() string {
-	switch p {
-	case ImputeLinear:
-		return "linear"
-	case ImputeZeroMask:
-		return "zero-mask"
-	default:
-		return "hold-last"
-	}
-}
-
-// RepairOpts configures Repair.
-type RepairOpts struct {
-	// Policy selects the imputation strategy.
-	Policy ImputePolicy
-	// GapFactor flags timestamp deltas beyond GapFactor*StepS as gaps
-	// (0 = DefaultGapFactor).
-	GapFactor float64
-	// MaxGapFill caps samples inserted per gap so one corrupt timestamp
-	// cannot balloon a trace (0 = default 120).
-	MaxGapFill int
-}
-
-// DefaultRepairOpts holds last values across dropouts and fills gaps up to
-// 120 samples wide.
-func DefaultRepairOpts() RepairOpts {
-	return RepairOpts{Policy: ImputeHoldLast, GapFactor: DefaultGapFactor, MaxGapFill: 120}
-}
-
-func (o *RepairOpts) defaults() {
-	if o.GapFactor <= 0 {
-		o.GapFactor = DefaultGapFactor
-	}
-	if o.MaxGapFill <= 0 {
-		o.MaxGapFill = 120
-	}
-}
-
 // RepairReport counts what Repair changed.
 type RepairReport struct {
 	// NonFinite is the count of NaN/Inf fields imputed.
@@ -422,37 +337,37 @@ func (r RepairReport) String() string {
 
 // Repair fixes what Validate finds, in place: drops samples with
 // non-finite timestamps, restores timestamp monotonicity, imputes
-// non-finite fields per the policy, clamps out-of-range values, reconciles
-// the CA mask and refills logging gaps. Clean data passes through
-// untouched, so repairing is safe to do unconditionally on ingest.
-func (d *Dataset) Repair(opts RepairOpts) RepairReport {
-	opts.defaults()
+// non-finite fields, clamps out-of-range values, reconciles the CA mask and
+// refills logging gaps of up to maxGapFill samples. Imputation holds the
+// last valid value, the XCAL practice for missing diagnostics rows. Clean
+// data passes through untouched, so repairing is safe to do
+// unconditionally on ingest.
+func (d *Dataset) Repair() RepairReport {
 	var rep RepairReport
 	for ti := range d.Traces {
-		rep.Add(d.Traces[ti].Repair(opts))
+		rep.Add(d.Traces[ti].Repair())
 	}
 	return rep
 }
 
 // Repair fixes one trace; see Dataset.Repair.
-func (t *Trace) Repair(opts RepairOpts) RepairReport {
-	opts.defaults()
+func (t *Trace) Repair() RepairReport {
 	var rep RepairReport
 	if len(t.Samples) == 0 {
 		return rep
 	}
 	t.dropBadTimestamps(&rep)
 	t.fixTimestampOrder(&rep)
-	t.fixValues(opts, &rep)
-	t.fillGaps(opts, &rep)
-	observeRepair(opts, rep)
+	t.fixValues(&rep)
+	t.fillGaps(&rep)
+	observeRepair(rep)
 	return rep
 }
 
 // observeRepair records one Trace.Repair pass: per-action counters (what
 // the ingest pipeline actually fixed) and a journal event for dirty
 // traces. Dataset.Repair aggregates through here, once per trace.
-func observeRepair(opts RepairOpts, rep RepairReport) {
+func observeRepair(rep RepairReport) {
 	r := obs.Default()
 	if !r.Enabled() {
 		return
@@ -468,7 +383,7 @@ func observeRepair(opts RepairOpts, rep RepairReport) {
 	r.Add("trace.samples_dropped", int64(rep.Dropped))
 	if rep.Total() > 0 {
 		r.Emit("trace.repair", map[string]any{
-			"policy": opts.Policy.String(), "actions": rep.Total(), "summary": rep.String(),
+			"actions": rep.Total(), "summary": rep.String(),
 		})
 	}
 }
@@ -515,11 +430,11 @@ func (t *Trace) fixTimestampOrder(rep *RepairReport) {
 
 // fixValues repairs per-sample numeric damage: non-finite fields are
 // imputed, out-of-range values clamped and the CA mask reconciled.
-func (t *Trace) fixValues(opts RepairOpts, rep *RepairReport) {
+func (t *Trace) fixValues(rep *RepairReport) {
 	for i := range t.Samples {
 		s := &t.Samples[i]
 		if !finite(s.AggTput) {
-			s.AggTput = t.imputeAgg(i, opts.Policy)
+			s.AggTput = t.imputeAgg(i)
 			rep.NonFinite++
 		}
 		if s.AggTput < 0 {
@@ -543,15 +458,8 @@ func (t *Trace) fixValues(opts RepairOpts, rep *RepairReport) {
 				if finite(cc.Vec[f]) {
 					continue
 				}
-				cc.Vec[f] = t.imputeField(i, c, f, opts.Policy)
+				cc.Vec[f] = t.imputeField(i, c, f)
 				rep.NonFinite++
-				if opts.Policy == ImputeZeroMask && f != FActive {
-					// Under zero-mask a corrupted carrier is masked out
-					// rather than trusted with imputed radio values.
-					if cc.Vec[FActive] == 1 {
-						cc.Vec[FActive] = 0
-					}
-				}
 			}
 			if a := cc.Vec[FActive]; a != 0 && a != 1 {
 				if a > 0.5 {
@@ -583,79 +491,35 @@ func (t *Trace) fixValues(opts RepairOpts, rep *RepairReport) {
 	}
 }
 
-// imputeAgg produces a replacement aggregate-throughput value for sample i.
-func (t *Trace) imputeAgg(i int, policy ImputePolicy) float64 {
-	prev, havePrev := t.lastFiniteAgg(i - 1)
-	if policy == ImputeLinear {
-		if next, haveNext := t.nextFiniteAgg(i + 1); haveNext {
-			if havePrev {
-				return (prev + next) / 2
-			}
-			return next
+// imputeAgg holds the last finite aggregate throughput before sample i,
+// or 0 when there is none.
+func (t *Trace) imputeAgg(i int) float64 {
+	for j := i - 1; j >= 0; j-- {
+		if v := t.Samples[j].AggTput; finite(v) {
+			return v
 		}
-	}
-	if havePrev {
-		return prev
 	}
 	return 0
 }
 
-func (t *Trace) lastFiniteAgg(from int) (float64, bool) {
-	for i := from; i >= 0; i-- {
-		if finite(t.Samples[i].AggTput) {
-			return t.Samples[i].AggTput, true
-		}
-	}
-	return 0, false
-}
-
-func (t *Trace) nextFiniteAgg(from int) (float64, bool) {
-	for i := from; i < len(t.Samples); i++ {
-		if finite(t.Samples[i].AggTput) {
-			return t.Samples[i].AggTput, true
-		}
-	}
-	return 0, false
-}
-
-// imputeField produces a replacement for a non-finite per-CC field.
-func (t *Trace) imputeField(i, c, f int, policy ImputePolicy) float64 {
-	if policy == ImputeZeroMask {
-		return 0
-	}
-	prev, havePrev := t.neighborField(i-1, -1, c, f)
-	if policy == ImputeLinear {
-		if next, haveNext := t.neighborField(i+1, 1, c, f); haveNext {
-			if havePrev {
-				return (prev + next) / 2
-			}
-			return next
-		}
-	}
-	if havePrev {
-		return prev
-	}
-	return 0
-}
-
-// neighborField scans from index i in direction dir for a finite value of
-// field f in slot c, staying within the same configured carrier.
-func (t *Trace) neighborField(i, dir, c, f int) (float64, bool) {
-	for ; i >= 0 && i < len(t.Samples); i += dir {
-		cc := &t.Samples[i].CCs[c]
+// imputeField holds the last finite value of field f in slot c before
+// sample i, within the same configured carrier, or 0 when there is none.
+func (t *Trace) imputeField(i, c, f int) float64 {
+	for j := i - 1; j >= 0; j-- {
+		cc := &t.Samples[j].CCs[c]
 		if !cc.Present {
-			return 0, false
+			return 0
 		}
 		if finite(cc.Vec[f]) {
-			return cc.Vec[f], true
+			return cc.Vec[f]
 		}
 	}
-	return 0, false
+	return 0
 }
 
 // fillGaps re-inserts samples into logging dropouts so windowing sees a
 // contiguous series again.
-func (t *Trace) fillGaps(opts RepairOpts, rep *RepairReport) {
+func (t *Trace) fillGaps(rep *RepairReport) {
 	if t.StepS <= 0 || len(t.Samples) < 2 {
 		return
 	}
@@ -668,18 +532,18 @@ func (t *Trace) fillGaps(opts RepairOpts, rep *RepairReport) {
 		left := &t.Samples[i-1]
 		right := &t.Samples[i]
 		dt := right.T - left.T
-		if dt > opts.GapFactor*t.StepS {
+		if dt > DefaultGapFactor*t.StepS {
 			missing := int(math.Round(dt/t.StepS)) - 1
 			if missing < 1 {
 				missing = 1
 			}
 			n := missing
-			if n > opts.MaxGapFill {
-				n = opts.MaxGapFill
+			if n > maxGapFill {
+				n = maxGapFill
 			}
 			for k := 1; k <= n; k++ {
 				frac := float64(k) / float64(missing+1)
-				out = append(out, imputedSample(left, right, frac, opts.Policy))
+				out = append(out, imputedSample(left, right, frac))
 				rep.Inserted++
 			}
 			rep.GapsFilled++
@@ -689,36 +553,11 @@ func (t *Trace) fillGaps(opts RepairOpts, rep *RepairReport) {
 	t.Samples = out
 }
 
-// imputedSample synthesizes one gap-filling sample between left and right
-// at fractional position frac.
-func imputedSample(left, right *Sample, frac float64, policy ImputePolicy) Sample {
+// imputedSample synthesizes one gap-filling sample at fractional position
+// frac between left and right: left's values held, no signaling events.
+func imputedSample(left, right *Sample, frac float64) Sample {
 	s := *left // copy, including CC slots
 	s.T = left.T + frac*(right.T-left.T)
-	switch policy {
-	case ImputeLinear:
-		s.AggTput = left.AggTput + frac*(right.AggTput-left.AggTput)
-		for c := range s.CCs {
-			lc, rc := &left.CCs[c], &right.CCs[c]
-			if !lc.Present || !rc.Present || lc.ChannelID != rc.ChannelID {
-				continue
-			}
-			for f := FBWMHz; f < NumCCFeatures; f++ {
-				s.CCs[c].Vec[f] = lc.Vec[f] + frac*(rc.Vec[f]-lc.Vec[f])
-			}
-		}
-	case ImputeZeroMask:
-		// Mark the span carrier-inactive: the paper's CA mask (FActive)
-		// is the channel CA-aware models gate on, so masked samples are
-		// ignored rather than trusted.
-		s.NumActiveCCs = 0
-		for c := range s.CCs {
-			if s.CCs[c].Present {
-				s.CCs[c].Vec[FActive] = 0
-				s.CCs[c].Vec[FTput] = 0
-			}
-		}
-	}
-	// Imputed samples carry no signaling events.
 	for c := range s.CCs {
 		if s.CCs[c].Present {
 			s.CCs[c].Vec[FEvent] = 0
@@ -727,14 +566,14 @@ func imputedSample(left, right *Sample, frac float64, policy ImputePolicy) Sampl
 	return s
 }
 
-// ValidateAndRepair validates, repairs, then re-validates: the returned
-// ValidationReport describes the data as ingested, the RepairReport what
-// was fixed. Gap findings may legitimately remain when a gap exceeded
-// MaxGapFill.
-func (d *Dataset) ValidateAndRepair(opts RepairOpts) (*ValidationReport, RepairReport) {
+// ValidateAndRepair validates, then repairs a dataset that needs it: the
+// returned ValidationReport describes the data as ingested, the
+// RepairReport what was fixed. A gap wider than maxGapFill samples is
+// only partly refilled, so Validate may still report it.
+func (d *Dataset) ValidateAndRepair() (*ValidationReport, RepairReport) {
 	vrep := d.Validate()
 	if vrep.OK() {
 		return vrep, RepairReport{}
 	}
-	return vrep, d.Repair(opts)
+	return vrep, d.Repair()
 }

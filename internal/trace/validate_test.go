@@ -104,23 +104,10 @@ func TestValidateReportTruncates(t *testing.T) {
 	}
 }
 
-func TestFindGaps(t *testing.T) {
-	tr := makeTrace(30)
-	// Carve a 5-step hole after sample 9.
-	tr.Samples = append(tr.Samples[:10], tr.Samples[15:]...)
-	gaps := tr.FindGaps(0)
-	if len(gaps) != 1 {
-		t.Fatalf("got %d gaps, want 1", len(gaps))
-	}
-	if gaps[0].AfterIdx != 9 || gaps[0].MissingSteps != 5 {
-		t.Fatalf("gap = %+v, want AfterIdx=9 MissingSteps=5", gaps[0])
-	}
-}
-
 func TestRepairCleanIsNoop(t *testing.T) {
 	d := makeDataset(2, 40)
 	before := d.NumSamples()
-	rep := d.Repair(DefaultRepairOpts())
+	rep := d.Repair()
 	if rep.Total() != 0 {
 		t.Fatalf("repair touched clean data: %s", rep)
 	}
@@ -134,7 +121,7 @@ func TestRepairImputesHoldLast(t *testing.T) {
 	tr := &d.Traces[0]
 	tr.Samples[5].AggTput = math.NaN()
 	tr.Samples[6].CCs[0].Vec[FSINR] = math.Inf(-1)
-	rep := d.Repair(DefaultRepairOpts())
+	rep := d.Repair()
 	if rep.NonFinite != 2 {
 		t.Fatalf("NonFinite=%d, want 2", rep.NonFinite)
 	}
@@ -149,27 +136,6 @@ func TestRepairImputesHoldLast(t *testing.T) {
 	}
 }
 
-func TestRepairImputesLinear(t *testing.T) {
-	d := makeDataset(1, 10)
-	tr := &d.Traces[0]
-	tr.Samples[4].AggTput = math.NaN()
-	d.Repair(RepairOpts{Policy: ImputeLinear})
-	want := (tr.Samples[3].AggTput + tr.Samples[5].AggTput) / 2
-	if got := tr.Samples[4].AggTput; got != want {
-		t.Fatalf("linear AggTput=%v, want %v", got, want)
-	}
-}
-
-func TestRepairZeroMaskDeactivatesCorruptCarrier(t *testing.T) {
-	d := makeDataset(1, 10)
-	tr := &d.Traces[0]
-	tr.Samples[4].CCs[1].Vec[FRSRP] = math.NaN()
-	d.Repair(RepairOpts{Policy: ImputeZeroMask})
-	if tr.Samples[4].CCs[1].Vec[FActive] != 0 {
-		t.Fatal("zero-mask left corrupted carrier active")
-	}
-}
-
 func TestRepairFixesTimestampsAndRanges(t *testing.T) {
 	d := makeDataset(1, 20)
 	tr := &d.Traces[0]
@@ -177,7 +143,7 @@ func TestRepairFixesTimestampsAndRanges(t *testing.T) {
 	tr.Samples[8].T, tr.Samples[9].T = tr.Samples[9].T, tr.Samples[8].T
 	tr.Samples[12].AggTput = -10
 	tr.Samples[14].NumActiveCCs = 99
-	rep := d.Repair(DefaultRepairOpts())
+	rep := d.Repair()
 	if rep.Dropped != 1 {
 		t.Fatalf("Dropped=%d, want 1", rep.Dropped)
 	}
@@ -200,8 +166,14 @@ func TestRepairFixesTimestampsAndRanges(t *testing.T) {
 func TestRepairFillsGaps(t *testing.T) {
 	d := makeDataset(1, 30)
 	tr := &d.Traces[0]
+	// Carve a 5-step hole after sample 9: Validate reports one gap, at
+	// the sample after the hole, and Repair refills the 5 samples.
 	tr.Samples = append(tr.Samples[:10], tr.Samples[15:]...)
-	rep := d.Repair(DefaultRepairOpts())
+	vrep := d.Validate()
+	if vrep.Count(ErrGap) != 1 || len(vrep.Errors) != 1 || vrep.Errors[0].SampleIdx != 10 {
+		t.Fatalf("validation of the hole: %v, want one gap at sample 10", vrep.Errors)
+	}
+	rep := d.Repair()
 	if rep.GapsFilled != 1 || rep.Inserted != 5 {
 		t.Fatalf("GapsFilled=%d Inserted=%d, want 1/5", rep.GapsFilled, rep.Inserted)
 	}
@@ -216,10 +188,13 @@ func TestRepairFillsGaps(t *testing.T) {
 func TestRepairCapsGapFill(t *testing.T) {
 	d := makeDataset(1, 10)
 	tr := &d.Traces[0]
-	tr.Samples[9].T = 10_000 // monstrous gap
-	rep := d.Repair(RepairOpts{MaxGapFill: 7})
-	if rep.Inserted != 7 {
-		t.Fatalf("Inserted=%d, want cap 7", rep.Inserted)
+	tr.Samples[9].T = 10_000 // a hole far wider than the fill cap
+	rep := d.Repair()
+	if rep.GapsFilled != 1 || rep.Inserted != maxGapFill {
+		t.Fatalf("GapsFilled=%d Inserted=%d, want 1/%d", rep.GapsFilled, rep.Inserted, maxGapFill)
+	}
+	if n := d.Validate().Count(ErrGap); n != 1 {
+		t.Fatalf("%d gaps after a capped refill, want the rest of the hole reported", n)
 	}
 }
 
@@ -387,7 +362,7 @@ func TestReadJSONRepairsOutOfRangeMask(t *testing.T) {
 	if err := d.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	got, vrep, rrep, err := ReadJSONReport(bytes.NewReader(buf.Bytes()), DefaultRepairOpts())
+	got, vrep, rrep, err := ReadJSONReport(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("ReadJSONReport: %v", err)
 	}

@@ -29,10 +29,10 @@ package prism5g
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
-	"prism5g/internal/core"
-	"prism5g/internal/ml"
+	"prism5g/internal/experiments"
 	"prism5g/internal/mobility"
 	"prism5g/internal/predictors"
 	"prism5g/internal/qoe"
@@ -153,10 +153,8 @@ func (c ModelConfig) fill() (int, predictors.TrainOpts) {
 // NewPrism5G builds the paper's CA-aware predictor.
 func NewPrism5G(b *Bundle, cfg ModelConfig) Predictor {
 	hidden, topts := cfg.fill()
-	opts := core.DefaultOptions()
-	opts.Hidden = hidden
-	opts.Train = topts
-	return core.New(opts, trace.DefaultWindowOpts().History)
+	p, _ := experiments.NewModel("Prism5G", b.Dataset, hidden, topts) // a known name never fails
+	return p
 }
 
 // NewBaseline builds one of the paper's baselines by name: "Prophet",
@@ -173,27 +171,15 @@ func NewBaseline(name string, b *Bundle, cfg ModelConfig) Predictor {
 
 // NewBaselineE is NewBaseline with an explicit error for unknown names.
 func NewBaselineE(name string, b *Bundle, cfg ModelConfig) (Predictor, error) {
-	hidden, topts := cfg.fill()
-	horizon := trace.DefaultWindowOpts().Horizon
-	switch name {
-	case "Prophet":
-		return predictors.NewProphetPredictor(b.Dataset, ml.DefaultProphetOpts()), nil
-	case "LSTM":
-		return predictors.NewLSTMPredictor(hidden, horizon, topts), nil
-	case "TCN":
-		return predictors.NewTCNPredictor(hidden, horizon, topts), nil
-	case "Lumos5G":
-		return predictors.NewLumos5G(hidden, horizon, topts), nil
-	case "GBDT":
-		return predictors.NewTreePredictor(predictors.KindGBDT, horizon, topts.Seed), nil
-	case "RF":
-		return predictors.NewTreePredictor(predictors.KindRF, horizon, topts.Seed), nil
-	case "HarmonicMean":
-		return &predictors.HarmonicMean{Horizon: horizon}, nil
-	default:
+	if name == "HarmonicMean" {
+		return &predictors.HarmonicMean{Horizon: trace.DefaultWindowOpts().Horizon}, nil
+	}
+	if !slices.Contains(BaselineNames(), name) {
 		return nil, fmt.Errorf("prism5g: unknown baseline %q (known: %s)",
 			name, strings.Join(append(BaselineNames(), "HarmonicMean"), ", "))
 	}
+	hidden, topts := cfg.fill()
+	return experiments.NewModel(name, b.Dataset, hidden, topts)
 }
 
 // BaselineNames lists the supported baseline names in the paper's order.

@@ -22,8 +22,6 @@ type (
 	ValidationReport = trace.ValidationReport
 	// ValidationError is one typed validation finding.
 	ValidationError = trace.ValidationError
-	// RepairOpts configures dataset repair (imputation policy, gap fill).
-	RepairOpts = trace.RepairOpts
 	// RepairReport counts what a repair pass fixed.
 	RepairReport = trace.RepairReport
 	// TrainReport summarizes a training run, including divergence
@@ -48,13 +46,13 @@ func GenerateFaultyDataset(op Operator, mob Mobility, gran Granularity, seed uin
 	return sim.BuildReport(sim.SubDatasetSpec{Operator: op, Mobility: mob, Gran: gran}, opts)
 }
 
-// RepairDataset validates ds and repairs what it finds in place with the
-// default hold-last policy: non-finite fields imputed, timestamps
+// RepairDataset validates ds and repairs what it finds in place:
+// non-finite fields imputed by holding the last valid value, timestamps
 // re-monotonized, CA masks reconciled, logging gaps refilled. The
 // ValidationReport describes the data as it arrived, the RepairReport what
 // was fixed.
 func RepairDataset(ds *Dataset) (*ValidationReport, RepairReport) {
-	return ds.ValidateAndRepair(trace.DefaultRepairOpts())
+	return ds.ValidateAndRepair()
 }
 
 // RobustResult is TrainRobust's outcome: the guarded predictor plus the
