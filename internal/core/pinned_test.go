@@ -48,18 +48,23 @@ func trainDigest(p *Prism5G, rep predictors.TrainReport) string {
 
 // TestPrismTrainingPinned pins Prism5G training at the width the server
 // bootstraps (Hidden 32) to digests of its final weights and per-epoch
-// statistics: the default model, the GRU backbone and per-slot weights.
-// The GRU and per-slot digests were recorded when those models still ran
-// carrier by carrier, so they also lock the lanes to that path. Like the
-// conformance goldens, the digests assume amd64 with FMA.
+// statistics: the default model, the two Table 13 ablations (NoState,
+// NoFusion), the GRU backbone and per-slot weights. The GRU and per-slot
+// digests were recorded when those models still ran carrier by carrier,
+// so they also lock the lanes to that path. Like the conformance goldens,
+// the digests assume amd64 with FMA.
 func TestPrismTrainingPinned(t *testing.T) {
 	want := map[string]string{
 		"default":  "c26c5aa56e68a452",
+		"NoState":  "d85a571eedca8acb",
+		"NoFusion": "d87a94af4823f4ff",
 		"gru":      "0249352f6813ca70",
 		"per-slot": "80de0d2585a0c2a8",
 	}
 	variants := map[string]func(*Options){
 		"default":  func(*Options) {},
+		"NoState":  func(o *Options) { o.UseState = false },
+		"NoFusion": func(o *Options) { o.UseFusion = false },
 		"gru":      func(o *Options) { o.Backbone = "gru" },
 		"per-slot": func(o *Options) { o.SharedWeights = false },
 	}
