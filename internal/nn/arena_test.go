@@ -152,7 +152,7 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 	gotY := make([]float64, n*out)
 	gotGX := make([]float64, n*in)
 	b.ForwardBatch(gotY, X, n)
-	b.BackwardBatch(gotGX, X, GY, n)
+	b.BackwardBatch(gotGX, X, GY, n, nil)
 	for i := range wantY {
 		if gotY[i] != wantY[i] {
 			t.Fatalf("batched forward diverged at %d", i)
@@ -176,9 +176,9 @@ func TestDenseBatchMatchesPerSample(t *testing.T) {
 }
 
 // TestDenseBackwardSkipsZeroGradients pins the zero-gradient skip that
-// Dense's backward passes share through accumRows: a zero output gradient
-// adds nothing, so an infinite input leaves that row's gradients finite
-// and a -0 accumulator keeps its sign.
+// Dense's backward passes share through the backward kernels: a zero
+// output gradient adds nothing, so an infinite input leaves that row's
+// gradients finite and a -0 accumulator keeps its sign.
 func TestDenseBackwardSkipsZeroGradients(t *testing.T) {
 	d := NewDense("d", 2, 2, rng.New(1))
 	negZero := math.Copysign(0, -1)
@@ -222,11 +222,11 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 				last := append([]float64(nil), hs[T-1]...)
 				gh := make([][]float64, T)
 				gh[T-1] = gLast
-				l.Backward(&tape, gh, nil)
+				l.Backward(&tape, gh, nil, nil)
 				return last
 			}, func(X, ghLast []float64) []float64 {
 				last := append([]float64(nil), l.ForwardBatch(&tape, X, bsz, T)...)
-				l.BackwardBatch(&tape, ghLast)
+				l.BackwardBatch(&tape, ghLast, nil)
 				return last
 			}}
 		},
@@ -238,11 +238,11 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 				last := append([]float64(nil), hs[T-1]...)
 				gh := make([][]float64, T)
 				gh[T-1] = gLast
-				g.Backward(&tape, gh)
+				g.Backward(&tape, gh, nil)
 				return last
 			}, func(X, ghLast []float64) []float64 {
 				last := append([]float64(nil), g.ForwardBatch(&tape, X, bsz, T)...)
-				g.BackwardBatch(&tape, ghLast)
+				g.BackwardBatch(&tape, ghLast, nil)
 				return last
 			}}
 		},
@@ -306,7 +306,7 @@ func TestTapeReuseIsDeterministic(t *testing.T) {
 		g := []float64{0.3, -0.7}
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = d.Backward(last, g)
-		l.Backward(tape, gh, nil)
+		l.Backward(tape, gh, nil, nil)
 		return append([]float64(nil), y...), nil
 	}
 	mkSeq := func(shift float64) [][]float64 {

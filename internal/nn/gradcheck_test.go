@@ -128,7 +128,7 @@ func TestGradCheckMLP(t *testing.T) {
 	}
 	ZeroGrads(m)
 	_, tape := m.Forward(x)
-	gx := m.Backward(tape, coef)
+	gx := m.Backward(tape, coef, nil)
 	checkParamGrads(t, m, loss)
 	checkSliceGrads(t, "mlp.x", x, gx, loss)
 }
@@ -144,7 +144,8 @@ func TestGradCheckGRU(t *testing.T) {
 	}
 	ZeroGrads(g)
 	_, tape := g.Forward(seq)
-	gxs := g.Backward(tape, coef)
+	gxs := rowsOf(len(seq), g.In)
+	g.Backward(tape, coef, gxs)
 	checkParamGrads(t, g, loss)
 	for ti := range seq {
 		checkSliceGrads(t, "gru.x", seq[ti], gxs[ti], loss)
@@ -162,7 +163,8 @@ func TestGradCheckLSTM(t *testing.T) {
 	}
 	ZeroGrads(l)
 	_, tape := l.Forward(seq)
-	gxs, _, _ := l.Backward(tape, coef, nil)
+	gxs := rowsOf(len(seq), l.In)
+	l.Backward(tape, coef, nil, gxs)
 	checkParamGrads(t, l, loss)
 	for ti := range seq {
 		checkSliceGrads(t, "lstm.x", seq[ti], gxs[ti], loss)
@@ -187,7 +189,7 @@ func TestGradCheckLSTMInitialState(t *testing.T) {
 	}
 	ZeroGrads(l)
 	_, tape := l.ForwardFrom(seq, h0, c0)
-	_, dh0, dc0 := l.Backward(tape, coef, cCoef)
+	dh0, dc0 := l.Backward(tape, coef, cCoef, nil)
 	checkParamGrads(t, l, loss)
 	checkSliceGrads(t, "lstm.h0", h0, dh0, loss)
 	checkSliceGrads(t, "lstm.c0", c0, dc0, loss)

@@ -1,17 +1,19 @@
 package nn
 
-// Two AVX kernels, one per direction. Forward, packed-weight products for
-// the LSTM and GRU recurrences: on amd64 CPUs with AVX the full 16-row
-// blocks of a weight matrix run through an assembly micro-kernel that
-// computes four output rows per YMM register; everywhere else, and for the
-// rows past the last full block, the scalar gemmNT runs. Backward, accumRows: every
-// backward pass adds its weight rows' gradients and input gradients four
-// lanes per YMM register, with the lanes past the last group in scalar Go.
+// Three AVX kernels. Forward, packed-weight products for the LSTM and GRU
+// recurrences: on amd64 CPUs with AVX the full 16-row blocks of a weight
+// matrix run through an assembly micro-kernel that computes four output
+// rows per YMM register; everywhere else, and for the rows past the last
+// full block, the scalar gemmNT runs. Backward, in two halves: gradInput
+// adds a step's input gradient, which reads only the weights, and
+// commitRows adds logged weight-gradient rows to a parameter's gradient,
+// in the order they were logged. Both run four lanes per YMM register and
+// the lanes past the last 4-lane group under a mask.
 //
-// Both kernels are exact: each element keeps the scalar loop's chain of
+// The kernels are exact: each element keeps the scalar loop's chain of
 // operations, each product and each sum rounded once. VMULPD/VADDPD round
-// every lane as MULSD/ADDSD do, and neither kernel uses a fused
-// multiply-add. So the AVX and scalar paths agree bit for bit.
+// every lane as MULSD/ADDSD do, and no kernel uses a fused multiply-add.
+// So the AVX and scalar paths agree bit for bit.
 
 // useAVX selects the AVX kernels. It is fixed from the CPU's features at
 // start-up; only tests override it.
@@ -76,48 +78,90 @@ func (pk packedNT) mul(Y, X []float64, n int, bias []float64, acc bool) {
 	gemmNT(Y, X, n, pk.w, m, k, bias, acc, from)
 }
 
-// accumRows runs one backward step's weight rows: for every row r =
-// g*units+u with s[r] != 0, walked unit by unit (u ascending) and, within
-// a unit, gate by gate (g ascending), it adds
+// gradInput adds one backward step's input gradient to b: for every row r
+// = g*units+u with s[r] != 0, walked unit by unit (u ascending) and, within
+// a unit, gate by gate (g ascending),
 //
-//	a[r*ld+j] += z[r] * x[j]        (the row's weight gradient)
-//	b[j]      += z[r] * w[r*ld+j]   (the input gradient)
+//	b[j] += z[r] * w[r*ld+j]
 //
-// for j ascending over len(x). Each a element gets one multiply and one add
-// per call; each b element sums the rows in walk order; a row whose s is
-// ±0 adds nothing, which keeps the sign of zero accumulators and keeps an
-// infinite x or w from turning them into NaN. s is z except where a row's
-// multiplier can be zero while the row still runs (the GRU's candidate
-// row). The AVX kernel runs the whole 4-lane groups of j; the loop below
-// runs the rest (all of j without AVX) one lane at a time, holding that
-// lane's b sum in a local across the rows.
-func accumRows(a, b, w, x, z, s []float64, units, gates, ld int) {
-	n, rows := len(x), units*gates
+// for j ascending over len(b), so each b element sums the rows in walk
+// order. A row whose s is ±0 adds nothing, which keeps the sign of zero
+// sums and keeps an infinite w from turning them into NaN. s is z except
+// where a row's multiplier can be zero while the row still runs (the GRU's
+// candidate row). The AVX kernel runs every lane, the ones past the last
+// 4-lane group under a mask; the loop below is the scalar path.
+func gradInput(b, w, z, s []float64, units, gates, ld int) {
+	n, rows := len(b), units*gates
 	if rows == 0 || n == 0 {
 		return
 	}
-	if last := (rows-1)*ld + n; len(a) < last || len(w) < last || len(b) < n || len(z) < rows || len(s) < rows {
-		panic("nn: accumRows operands too short")
+	if len(w) < (rows-1)*ld+n || len(z) < rows || len(s) < rows {
+		panic("nn: gradInput operands too short")
 	}
-	vec := 0
 	if useAVX {
-		vec = n &^ 3
+		gradInputAVX(&b[0], &w[0], &z[0], &s[0], units, gates, ld, n)
+		return
 	}
-	if vec > 0 {
-		accumRowsAVX(&a[0], &b[0], &w[0], &x[0], &z[0], &s[0], units, gates, ld, vec)
-	}
-	for j := vec; j < n; j++ {
-		xj, bj := x[j], b[j]
+	for j, bj := range b {
 		for u := 0; u < units; u++ {
 			for r := u; r < rows; r += units {
-				if s[r] == 0 {
-					continue
+				if s[r] != 0 {
+					bj += z[r] * w[r*ld+j]
 				}
-				zr, o := z[r], r*ld+j
-				a[o] += zr * xj
-				bj += zr * w[o]
 			}
 		}
 		b[j] = bj
+	}
+}
+
+// commitRows adds k logged steps of weight-gradient rows to the block a:
+// for step i ascending and every row r < rows with s[i*rows+r] != 0,
+//
+//	a[r*ld+j] += z[i*rows+r] * x[i*n+j]
+//
+// for j < n. Each a element gets one multiply and one add per step whose
+// row runs, in step order, so committing k steps at once equals k one-step
+// calls, and a log of steps equals committing each step as it is made. A
+// ±0 skip value keeps a zero element's sign and keeps an infinite x out.
+// The AVX kernel holds a row's elements in registers across the steps and
+// runs the lanes past the last 4-lane group under a mask; the loop below
+// is the scalar path.
+func commitRows(a []float64, ld int, z, s, x []float64, rows, n, k int) {
+	if rows == 0 || n == 0 || k == 0 {
+		return
+	}
+	if len(a) < (rows-1)*ld+n || len(z) < k*rows || len(s) < k*rows || len(x) < (k-1)*n+n {
+		panic("nn: commitRows operands too short")
+	}
+	if useAVX {
+		commitRowsAVX(&a[0], &z[0], &s[0], &x[0], rows, ld, n, k)
+		return
+	}
+	for r := 0; r < rows; r++ {
+		row := a[r*ld : r*ld+n]
+		for i := 0; i < k; i++ {
+			if s[i*rows+r] == 0 {
+				continue
+			}
+			zr := z[i*rows+r]
+			for j, xv := range x[i*n : i*n+n] {
+				row[j] += zr * xv
+			}
+		}
+	}
+}
+
+// commitBias adds k logged steps of bias-gradient rows to a: for step i
+// ascending and every row r < rows with s[i*rows+r] != 0, a[r] +=
+// z[i*rows+r].
+func commitBias(a, z, s []float64, rows, k int) {
+	a = a[:rows]
+	for i := 0; i < k; i++ {
+		zi, si := z[i*rows:(i+1)*rows], s[i*rows:(i+1)*rows]
+		for r, sv := range si {
+			if sv != 0 {
+				a[r] += zi[r]
+			}
+		}
 	}
 }

@@ -8,11 +8,14 @@ package nn
 //go:noescape
 func gemvBlocksAVX(y, init, p, x *float64, k, nb int)
 
-// accumRowsAVX is accumRows over the first n lanes of x and b, n a
-// positive multiple of 4; see kernel_amd64.s.
+// gradInputAVX is gradInput over the n > 0 lanes of b, and commitRowsAVX
+// is commitRows with rows, n and k positive; see kernel_amd64.s.
 //
 //go:noescape
-func accumRowsAVX(a, b, w, x, z, s *float64, units, gates, ld, n int)
+func gradInputAVX(b, w, z, s *float64, units, gates, ld, n int)
+
+//go:noescape
+func commitRowsAVX(a, z, s, x *float64, rows, ld, n, k int)
 
 // sigmoidsAVX and tanhsAVX compute Sigmoid and Tanh of n groups of four
 // float64s from src into dst (which may equal src), and return how many

@@ -14,9 +14,13 @@ func gemvBlocksAVX(y, init, p, x *float64, k, nb int) {
 	panic("nn: AVX kernel called without AVX")
 }
 
-// accumRowsAVX is never called: accumRows runs only its scalar loop while
-// useAVX is off.
-func accumRowsAVX(a, b, w, x, z, s *float64, units, gates, ld, n int) {
+// gradInputAVX and commitRowsAVX are never called: gradInput and
+// commitRows run only their scalar loops while useAVX is off.
+func gradInputAVX(b, w, z, s *float64, units, gates, ld, n int) {
+	panic("nn: AVX kernel called without AVX")
+}
+
+func commitRowsAVX(a, z, s, x *float64, rows, ld, n, k int) {
 	panic("nn: AVX kernel called without AVX")
 }
 

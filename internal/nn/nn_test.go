@@ -111,7 +111,7 @@ func TestMLPGradients(t *testing.T) {
 	}
 	backward := func() {
 		y, tape := m.Forward(x)
-		m.Backward(tape, MSEGrad(y, target))
+		m.Backward(tape, MSEGrad(y, target), nil)
 	}
 	checkGrads(t, m, forward, backward)
 }
@@ -142,7 +142,7 @@ func TestLSTMGradients(t *testing.T) {
 		hs, tape := l.Forward(seq)
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-		l.Backward(tape, gh, nil)
+		l.Backward(tape, gh, nil, nil)
 	}
 	checkGrads(t, l, forward, backward)
 }
@@ -166,7 +166,7 @@ func TestLSTMAllStepGradients(t *testing.T) {
 		for i, h := range hs {
 			gh[i] = MSEGrad(h, target)
 		}
-		l.Backward(tape, gh, nil)
+		l.Backward(tape, gh, nil, nil)
 	}
 	checkGrads(t, l, forward, backward)
 }
@@ -179,7 +179,8 @@ func TestLSTMInputGradients(t *testing.T) {
 	hs, tape := l.Forward(seq)
 	gh := make([][]float64, len(hs))
 	gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-	gxs, _, _ := l.Backward(tape, gh, nil)
+	gxs := rowsOf(len(seq), l.In)
+	l.Backward(tape, gh, nil, gxs)
 	const eps = 1e-5
 	for ti := range seq {
 		for fi := range seq[ti] {
@@ -397,7 +398,7 @@ func TestLSTMLearnsToSumSequence(t *testing.T) {
 		g := MSEGrad(y, []float64{mean})
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = head.Backward(hs[len(hs)-1], g)
-		l.Backward(tape, gh, nil)
+		l.Backward(tape, gh, nil, nil)
 		opt.Step()
 	}
 	after := lossAt()
@@ -464,7 +465,7 @@ func TestGRUGradients(t *testing.T) {
 		hs, tape := g.Forward(seq)
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-		g.Backward(tape, gh)
+		g.Backward(tape, gh, nil)
 	}
 	checkGrads(t, g, forward, backward)
 }
@@ -488,7 +489,7 @@ func TestGRUAllStepGradients(t *testing.T) {
 		for i, h := range hs {
 			gh[i] = MSEGrad(h, target)
 		}
-		g.Backward(tape, gh)
+		g.Backward(tape, gh, nil)
 	}
 	checkGrads(t, g, forward, backward)
 }
@@ -501,7 +502,8 @@ func TestGRUInputGradients(t *testing.T) {
 	hs, tape := g.Forward(seq)
 	gh := make([][]float64, len(hs))
 	gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-	gxs := g.Backward(tape, gh)
+	gxs := rowsOf(len(seq), g.In)
+	g.Backward(tape, gh, gxs)
 	const eps = 1e-5
 	for ti := range seq {
 		for fi := range seq[ti] {
@@ -556,7 +558,7 @@ func TestGRULearnsMeanTask(t *testing.T) {
 		gr := MSEGrad(y, []float64{mean})
 		gh := make([][]float64, len(hs))
 		gh[len(hs)-1] = head.Backward(hs[len(hs)-1], gr)
-		g.Backward(tape, gh)
+		g.Backward(tape, gh, nil)
 		opt.Step()
 	}
 	after := lossAt()

@@ -119,12 +119,12 @@ func (s *Seq2Seq) Backward(tape *Seq2SeqTape, gPred []float64) {
 		gy[0] = gPred[k]
 		gh[k] = s.Head.BackwardInto(ar.Floats(s.Head.In), h, gy)
 	}
-	_, dh0, dc0 := s.Dec.Backward(&tape.decTape, gh, nil)
+	dh0, dc0 := s.Dec.Backward(&tape.decTape, gh, nil, nil)
 	// Push the state gradients into the encoder's last step.
 	encGh := ar.Rows(tape.encTape.T())
 	if tape.encTape.T() > 0 {
 		encGh[tape.encTape.T()-1] = dh0
 	}
 	// dc0 flows into the encoder's terminal cell state.
-	s.Enc.Backward(&tape.encTape, encGh, dc0)
+	s.Enc.Backward(&tape.encTape, encGh, dc0, nil)
 }

@@ -52,6 +52,16 @@ func (d *Dense) Backward(x, gy []float64) []float64 {
 	return gx
 }
 
+// rowsOf returns T zeroed rows of n values, for the input gradients a
+// one-lane recurrent Backward writes.
+func rowsOf(T, n int) [][]float64 {
+	rows := make([][]float64, T)
+	for t := range rows {
+		rows[t] = make([]float64, n)
+	}
+	return rows
+}
+
 // MSEGrad returns dMSE/dpred.
 func MSEGrad(pred, target []float64) []float64 {
 	return MSEGradInto(make([]float64, len(pred)), pred, target)

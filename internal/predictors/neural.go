@@ -114,8 +114,8 @@ func (p *LSTMPredictor) forwardBackward(s *lstmScratch, ws []trace.Window, gScal
 			}
 		}
 		GH := s.ar.Floats(b * p.head.In)
-		p.head.BackwardBatch(GH, lastH, G, b)
-		p.lstm.BackwardBatch(&s.tape, GH)
+		p.head.BackwardBatch(GH, lastH, G, b, nil)
+		p.lstm.BackwardBatch(&s.tape, GH, nil)
 	}
 	return ys
 }

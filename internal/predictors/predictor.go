@@ -235,14 +235,14 @@ type SeqModel interface {
 	ForwardBackward(w trace.Window, gScale float64) []float64
 }
 
-// BatchSeqModel is a SeqModel with a whole-minibatch path. The training
-// loop uses it when available: the batch runs through blocked batched-GEMM
-// kernels instead of one GEMV per sample. Implementations must keep results
-// bit-identical to len(ws) successive ForwardBackward calls (same forward
-// values, parameter-gradient contributions accumulated in ascending sample
-// order) so training trajectories do not depend on which path ran. The
-// returned predictions may be views into model scratch, valid until the
-// next call; the method is not safe for concurrent use.
+// BatchSeqModel is a SeqModel with a whole-minibatch path, which the
+// training loop uses when available: the LSTM baseline runs a batch as the
+// lanes of one pass, Prism5G on every core. Implementations must keep
+// results bit-identical to len(ws) successive ForwardBackward calls (same
+// forward values, parameter-gradient contributions accumulated in
+// ascending sample order) so training trajectories do not depend on which
+// path ran. The returned predictions may be views into model scratch,
+// valid until the next call; the method is not safe for concurrent use.
 type BatchSeqModel interface {
 	SeqModel
 	ForwardBackwardBatch(ws []trace.Window, gScale float64) [][]float64
