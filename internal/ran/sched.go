@@ -61,9 +61,6 @@ type Scheduler struct {
 	// ccs backs the CCs of the latest snapshot.
 	ccs []CCObservation
 
-	// PDSCHOffsetDeepCA is the PDSCH power reduction (dB) applied to FDD
-	// SCells in combos of three or more CCs.
-	PDSCHOffsetDeepCA float64
 	// AggBWBudgetMHz is the aggregate bandwidth beyond which extra
 	// SCells get RB-throttled under load.
 	AggBWBudgetMHz float64
@@ -82,7 +79,6 @@ type Scheduler struct {
 func NewScheduler(src *rng.Source) *Scheduler {
 	return &Scheduler{
 		src:                  src.Split(),
-		PDSCHOffsetDeepCA:    -10,
 		AggBWBudgetMHz:       120,
 		SchedulingEfficiency: 0.86,
 		CAOverheadPerCC:      0.09,
@@ -258,12 +254,12 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		reportedSINR := rs.SINRdB + fade
 
 		// PDSCH conditioning under CA (paper Fig 14): deep combos reduce
-		// SCell transmit power on FDD carriers, collapsing spatial rank
-		// while the SSB-derived RSRP/CQI stay put.
+		// SCell transmit power on FDD carriers, and the rank collapses to
+		// one layer whatever the SINR, while the SSB-derived RSRP/CQI stay
+		// put.
 		maxRank := cell.MaxRank
 		if !sc.IsPCell && numCCs >= 3 && cell.Chan.Band.Duplex == spectrum.FDD {
-			effSINR := reportedSINR + s.PDSCHOffsetDeepCA
-			maxRank = phy.RankFromSINR(effSINR, 1)
+			maxRank = 1
 		}
 		la := phy.Adapt(reportedSINR, maxRank, lag)
 
