@@ -11,6 +11,9 @@ type laneTape struct {
 	xs   [][]float64 // inputs per step (b*In, the caller's)
 	ar   Arena
 	mark Mark // arena state after the forward; backward passes rewind here
+	// log holds one lane's gradient rows for a backward pass given no
+	// log of its caller's, which commits it after the lane.
+	log GradLog
 }
 
 // T returns the sequence length of the tape.
@@ -38,9 +41,10 @@ func (t *laneTape) lanes(X []float64, b, in, T int) {
 // eachLane runs bptt on every lane in ascending order, so that lanes add
 // their parameter gradients as b one-lane passes would. ghLast is the flat
 // b*H gradient into each lane's final hidden state; bptt gets a gradient
-// spine that is nil but at the last step, and the arena mark its scratch
-// starts at.
-func (t *laneTape) eachLane(ghLast []float64, H int, bptt func(s int, m Mark, gh [][]float64)) {
+// spine that is nil but at the last step, the arena mark its scratch
+// starts at and the log its rows go to: log, or when log is nil the
+// tape's own, committed after each lane.
+func (t *laneTape) eachLane(ghLast []float64, H int, log *GradLog, bptt func(s int, m Mark, gh [][]float64, log *GradLog)) {
 	T := t.T()
 	if T == 0 {
 		return
@@ -50,6 +54,11 @@ func (t *laneTape) eachLane(ghLast []float64, H int, bptt func(s int, m Mark, gh
 	m := t.ar.Mark() // lane scratch starts above the spine
 	for s := 0; s < t.b; s++ {
 		gh[T-1] = ghLast[s*H : (s+1)*H]
-		bptt(s, m, gh)
+		if log != nil {
+			bptt(s, m, gh, log)
+			continue
+		}
+		bptt(s, m, gh, &t.log)
+		t.log.Commit()
 	}
 }
