@@ -15,14 +15,15 @@ test-race:
 	$(GO) test -race ./...
 
 # Short passes of every fuzzer (trace ingest, the sample wire codec, grid
-# configs, serve request decoding); CI-sized. CI runs this target, so a new
-# fuzzer is listed here only.
+# configs, serve request decoding, phy.Pow10 against math.Pow); CI-sized.
+# CI runs this target, so a new fuzzer is listed here only.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzCCJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzGridConfig -fuzztime=20s ./internal/grid/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
+	$(GO) test -run=^$$ -fuzz=FuzzPow10 -fuzztime=20s ./internal/phy/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

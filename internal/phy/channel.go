@@ -285,7 +285,7 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	// RSRQ = 10log10(N) + RSRP - RSSI; with RSSI dominated by serving
 	// power plus interference this reduces to roughly -10.8 dB minus the
 	// interference-plus-noise excess.
-	snrLin := math.Pow(10, sinr/10)
+	snrLin := Pow10(sinr / 10)
 	rsrq := -10.8 - intfDB - 10*math.Log10(1+3/math.Max(snrLin, 0.1))/3
 	if rsrq < -19.5 {
 		rsrq = -19.5

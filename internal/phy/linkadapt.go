@@ -9,7 +9,7 @@ const shannonAlpha = 0.75
 
 // EffectiveEfficiency maps SINR (dB) to achievable bits/s/Hz.
 func EffectiveEfficiency(sinrDB float64) float64 {
-	lin := math.Pow(10, sinrDB/10)
+	lin := Pow10(sinrDB / 10)
 	eff := shannonAlpha * math.Log2(1+lin)
 	maxEff := CQITable256QAM[len(CQITable256QAM)-1].Efficiency
 	if eff > maxEff {
@@ -56,7 +56,7 @@ func SINRForCQI(cqi int) float64 {
 func BLER(marginDB float64) float64 {
 	// Logistic falling from ~0.5 (deep negative margin) through 0.10 at
 	// zero margin toward a 0.005 floor.
-	b := 0.10 * math.Pow(10, -marginDB/8)
+	b := 0.10 * Pow10(-marginDB/8)
 	if b > 0.5 {
 		b = 0.5
 	}

@@ -393,39 +393,6 @@ func (n *Network) CandidateCells(dst []*Cell, p mobility.Point, tech spectrum.Te
 	return dst
 }
 
-// CoChannelINR returns the interference-to-noise ratio (linear) a UE at p
-// sees on the cell's channel from co-channel cells at other sites within
-// 1.5x their coverage radius, using the mean (unshadowed) NLOS path loss
-// weighted by each interferer's load. This is what makes urban SINR
-// interference-limited: near the serving site the ratio is tiny, at the
-// cell edge it dominates.
-func (c *Cell) CoChannelINR(p mobility.Point, indoor bool) float64 {
-	inr := 0.0
-	for _, other := range c.interferers {
-		inr += other.interference(p, indoor)
-	}
-	return inr
-}
-
-// interference is the cell's term in the co-channel sum of a UE at p on
-// its channel: its mean received power over noise, weighted by its load,
-// or 0 beyond its reach. Adding 0 leaves a sum of such terms bit for bit
-// as skipping it would. Every cell of a channel holds the same carrier
-// terms, so the term does not depend on which co-channel cell's sum it
-// enters.
-func (c *Cell) interference(p mobility.Point, indoor bool) float64 {
-	d := c.Pos.Dist(p)
-	if d > c.reachM {
-		return 0
-	}
-	pl := c.carrier.PathLoss(d, false)
-	if indoor {
-		pl += c.carrier.IndoorDB
-	}
-	rx := c.carrier.TxPerREdBm - pl
-	return math.Pow(10, (rx-c.carrier.NoiseDBm)/10) * c.Load()
-}
-
 // StepLoads advances every cell's background-load process by dt seconds
 // and applies the time-of-day multiplier (1.0 at the paper's midnight
 // measurement window; rush hour pushes ~1.9x). The process dynamics are

@@ -80,16 +80,18 @@ func atDistance(q mobility.Point, r float64) []mobility.Point {
 }
 
 // TestCoChannelINRMatchesReference asserts bit equality between the
-// precomputed interference sum and the per-call reference for every cell
-// of the OpX and OpZ urban and suburban networks, indoors and out, over a
-// seeded spread of UE positions plus the edges: on top of an interferer
-// (d < 1 m, the path-loss clamp) and at exactly 1.5x its coverage radius.
+// engine's phased interference sum, each in a fresh term generation, and
+// the per-call reference for every cell of the OpX and OpZ urban and
+// suburban networks, indoors and out, over a seeded spread of UE positions
+// plus the edges: on top of an interferer (d < 1 m, the path-loss clamp)
+// and at exactly 1.5x its coverage radius.
 func TestCoChannelINRMatchesReference(t *testing.T) {
 	src := rng.New(31)
 	reached := 0
 	for _, op := range []spectrum.Operator{spectrum.OpX, spectrum.OpZ} {
 		for _, sc := range []mobility.Scenario{mobility.Urban, mobility.Suburban} {
 			n := NewNetwork(op, sc, src)
+			eng := NewEngine(n, NewUE(ModemX70), DefaultConfig(spectrum.NR), rng.New(1))
 			byChan := cellsByChan(n)
 			for i, tod := range []float64{1, 1.9, 0.4} {
 				n.StepLoads(tod, 0.01)
@@ -109,7 +111,8 @@ func TestCoChannelINRMatchesReference(t *testing.T) {
 				}
 				for _, p := range pts {
 					for _, indoor := range []bool{false, true} {
-						got, want := c.CoChannelINR(p, indoor), refCoChannelINR(byChan, c, p, indoor)
+						eng.gen++
+						got, want := eng.coChannelINR(c, p, indoor), refCoChannelINR(byChan, c, p, indoor)
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("%s %s cell %s at %+v indoor=%v: INR %v, reference %v",
 								op, sc, c.ID(), p, indoor, got, want)
@@ -230,50 +233,68 @@ func TestLazyLoadsMatchEagerReference(t *testing.T) {
 }
 
 // TestEvaluationMeasurementsMatchUncached drives the engine over OpX and
-// OpZ urban at 10 ms, indoors and out, and after every RRC evaluation
-// measures each candidate again without the shared interference terms:
-// the engine's measurement must equal it bit for bit.
+// OpZ urban at 10 ms, indoors and out. After every RRC evaluation it
+// measures each candidate again through the per-call reference sum, without
+// the shared interference terms, and on every step it measures each
+// serving cell through MeasureServing and through the reference: the
+// engine's measurements must equal the reference's bit for bit.
 func TestEvaluationMeasurementsMatchUncached(t *testing.T) {
+	same := func(a, b phy.RadioState) bool {
+		return math.Float64bits(a.RSRPdBm) == math.Float64bits(b.RSRPdBm) &&
+			math.Float64bits(a.RSRQdB) == math.Float64bits(b.RSRQdB) &&
+			math.Float64bits(a.SINRdB) == math.Float64bits(b.SINRdB)
+	}
 	for _, op := range []spectrum.Operator{spectrum.OpX, spectrum.OpZ} {
 		src := rng.New(61)
 		net := NewNetwork(op, mobility.Urban, src)
+		byChan := cellsByChan(net)
 		eng := NewEngine(net, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
 		ext := mobility.Urban.ExtentM()
 		mv := mobility.NewMover(mobility.Urban, mobility.Driving, mobility.Point{X: ext / 2, Y: ext / 2}, src)
-		evals, shared := 0, 0
+		evals, shared, served, interfered := 0, 0, 0, 0
 		for s := 0; s < 4000; s++ {
 			indoor := s/1000%2 == 1
 			moved := mv.Step(0.01)
 			net.StepLoads(1, 0.01)
 			gen := eng.gen
 			eng.Step(mv.Pos(), moved, 0.01, indoor)
-			if eng.gen == gen {
-				continue
-			}
-			evals++
+			evaluated := eng.gen != gen
 			p := mv.Pos()
-			terms, distinct := 0, map[*Cell]bool{}
-			for _, m := range eng.ms {
-				d := m.cell.Pos.Dist(p)
-				want := eng.links[m.cell.PCI].Evaluate(d, indoor, m.cell.CoChannelINR(p, indoor))
-				if math.Float64bits(m.rs.RSRPdBm) != math.Float64bits(want.RSRPdBm) ||
-					math.Float64bits(m.rs.RSRQdB) != math.Float64bits(want.RSRQdB) ||
-					math.Float64bits(m.rs.SINRdB) != math.Float64bits(want.SINRdB) {
-					t.Fatalf("%s step %d cell %s: measured %+v, uncached %+v", op, s, m.cell.ID(), m.rs, want)
-				}
-				for _, o := range m.cell.interferers {
-					if o.Pos.Dist(p) <= o.reachM {
-						terms++
-						distinct[o] = true
+			if evaluated {
+				evals++
+				terms, distinct := 0, map[*Cell]bool{}
+				for _, m := range eng.ms {
+					d := m.cell.Pos.Dist(p)
+					want := eng.links[m.cell.PCI].Evaluate(d, indoor, refCoChannelINR(byChan, m.cell, p, indoor))
+					if !same(m.rs, want) {
+						t.Fatalf("%s step %d cell %s: measured %+v, uncached %+v", op, s, m.cell.ID(), m.rs, want)
+					}
+					for _, o := range m.cell.interferers {
+						if o.Pos.Dist(p) <= o.reachM {
+							terms++
+							distinct[o] = true
+						}
 					}
 				}
+				if terms > len(distinct) {
+					shared++
+				}
 			}
-			if terms > len(distinct) {
-				shared++
+			for _, sc := range eng.Serving() {
+				inr := refCoChannelINR(byChan, sc.Cell, p, indoor)
+				want := sc.Link.Evaluate(sc.Cell.Pos.Dist(p), indoor, inr)
+				if got := eng.MeasureServing(sc, p, indoor); !same(got, want) {
+					t.Fatalf("%s step %d serving cell %s: measured %+v, uncached %+v", op, s, sc.Cell.ID(), got, want)
+				}
+				served++
+				if inr > 0 {
+					interfered++
+				}
 			}
 		}
-		if evals < 100 || shared == 0 {
-			t.Fatalf("%s: %d evaluations, %d with a shared term", op, evals, shared)
+		if evals < 100 || shared == 0 || served < 4000 || interfered == 0 {
+			t.Fatalf("%s: %d evaluations, %d with a shared term; %d serving measurements, %d with interference",
+				op, evals, shared, served, interfered)
 		}
 	}
 }

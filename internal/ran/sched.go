@@ -253,15 +253,22 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// PDSCH power policy.
 		reportedSINR := rs.SINRdB + fade
 
+		// Link adaptation, once for the recorded direction. Downlink:
 		// PDSCH conditioning under CA (paper Fig 14): deep combos reduce
 		// SCell transmit power on FDD carriers, and the rank collapses to
 		// one layer whatever the SINR, while the SSB-derived RSRP/CQI stay
-		// put.
-		maxRank := cell.MaxRank
-		if !sc.IsPCell && numCCs >= 3 && cell.Chan.Band.Duplex == spectrum.FDD {
-			maxRank = 1
+		// put. Uplink: the UE-power-limited SINR, at most ul.MaxRank
+		// layers.
+		var la phy.LinkAdaptation
+		if ul == nil {
+			maxRank := cell.MaxRank
+			if !sc.IsPCell && numCCs >= 3 && cell.Chan.Band.Duplex == spectrum.FDD {
+				maxRank = 1
+			}
+			la = phy.Adapt(reportedSINR, maxRank, lag)
+		} else {
+			la = phy.Adapt(reportedSINR+ul.PowerOffsetDB, min(cell.MaxRank, ul.MaxRank), lag)
 		}
-		la := phy.Adapt(reportedSINR, maxRank, lag)
 
 		// RB share: background load plus CA throttling (paper Fig 15).
 		load := cell.Load()
@@ -313,9 +320,8 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		}
 		if ul != nil {
 			// Uplink: at most MaxCC active carriers aggregate (UL CA is
-			// far shallower than DL CA), link adaptation runs at the
-			// UE-power-limited SINR, and the granted RBs scale with the
-			// grant ratio — the monotone UL:DL asymmetry knob.
+			// far shallower than DL CA), and the granted RBs scale with
+			// the grant ratio — the monotone UL:DL asymmetry knob.
 			if active {
 				if ulCCs >= ul.MaxCC {
 					active = false
@@ -323,11 +329,6 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 					ulCCs++
 				}
 			}
-			ulRank := cell.MaxRank
-			if ulRank > ul.MaxRank {
-				ulRank = ul.MaxRank
-			}
-			la = phy.Adapt(reportedSINR+ul.PowerOffsetDB, ulRank, lag)
 			rb *= ul.GrantRatio
 			if cell.IsTDD() {
 				slotFrac = 1 - phy.TDDDownlinkFraction
