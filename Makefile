@@ -15,8 +15,9 @@ test-race:
 	$(GO) test -race ./...
 
 # Short passes of every fuzzer (trace ingest, the sample wire codec, grid
-# configs, serve request decoding, phy.Pow10 against math.Pow); CI-sized.
-# CI runs this target, so a new fuzzer is listed here only.
+# configs, serve request decoding, phy.Pow10 against math.Pow, the short
+# build's segment rule); CI-sized. CI runs this target, so a new fuzzer is
+# listed here only.
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzReadJSON -fuzztime=20s ./internal/trace/
 	$(GO) test -run=^$$ -fuzz=FuzzReadCSV -fuzztime=20s ./internal/trace/
@@ -24,6 +25,7 @@ fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzGridConfig -fuzztime=20s ./internal/grid/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRequest -fuzztime=20s ./internal/serve/
 	$(GO) test -run=^$$ -fuzz=FuzzPow10 -fuzztime=20s ./internal/phy/
+	$(GO) test -run=^$$ -fuzz=FuzzCutSegment -fuzztime=20s ./internal/sim/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...

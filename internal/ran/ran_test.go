@@ -393,6 +393,44 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
+// TestActiveCCsMatchesObservation pins ActiveCCs, which a short build's
+// scout reads in place of an observation, to the NumActiveCCs of Observe
+// and ObserveUL at every 10 ms step of two drives, with the uplink's
+// default carrier cap and a wider one.
+func TestActiveCCsMatchesObservation(t *testing.T) {
+	// capped counts the steps with more active CCs than each cap.
+	capped := map[int]int{}
+	for _, op := range []spectrum.Operator{spectrum.OpZ, spectrum.OpX} {
+		src := rng.New(61)
+		net := NewNetwork(op, mobility.Urban, src)
+		eng := NewEngine(net, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
+		sched := NewScheduler(src)
+		mv := mobility.NewMover(mobility.Urban, mobility.Driving,
+			mobility.Point{X: mobility.Urban.ExtentM() / 2, Y: mobility.Urban.ExtentM() / 2}, src)
+		for i := 0; i < 6000; i++ {
+			moved := mv.Step(0.01)
+			net.StepLoads(1, 0.01)
+			events := eng.Step(mv.Pos(), moved, 0.01, false)
+			dl := sched.Observe(eng, mv.Pos(), mobility.Driving, false, events, 0.01)
+			if got := ActiveCCs(eng, nil); got != dl.NumActiveCCs {
+				t.Fatalf("%s step %d: ActiveCCs %d, Observe %d", op, i, got, dl.NumActiveCCs)
+			}
+			for _, ul := range []ULConfig{{}, {MaxCC: 3}} {
+				obs := sched.ObserveUL(eng, mv.Pos(), mobility.Driving, false, events, 0.01, ul)
+				if got := ActiveCCs(eng, &ul); got != obs.NumActiveCCs {
+					t.Fatalf("%s step %d: ActiveCCs %d, ObserveUL(%+v) %d", op, i, got, ul, obs.NumActiveCCs)
+				}
+				if c := ul.withDefaults().MaxCC; dl.NumActiveCCs > c {
+					capped[c]++
+				}
+			}
+		}
+	}
+	if capped[2] == 0 || capped[3] == 0 {
+		t.Fatalf("steps above the uplink caps 2 and 3: %d and %d, want some of each", capped[2], capped[3])
+	}
+}
+
 func TestEventStringAndTypes(t *testing.T) {
 	for _, et := range []EventType{EvSCellAdd, EvSCellRemove, EvSCellActivate, EvPCellSwitch, EvRadioLinkFailure} {
 		if et.String() == "" {

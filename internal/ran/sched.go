@@ -58,8 +58,15 @@ type Scheduler struct {
 	src *rng.Source
 	// noise holds each carrier's processes, indexed by PCI.
 	noise []*ccNoise
-	// ccs backs the CCs of the latest snapshot.
-	ccs []CCObservation
+	// draws holds each serving CC's draws of the latest step, in serving
+	// order; ccs backs the CCs of the latest snapshot.
+	draws []ccDraws
+	ccs   []CCObservation
+	// fadeStep and shareStep are the OU step constants for the sampling
+	// interval dt, computed when dt changes. Their zero value is the
+	// constants for dt 0.
+	dt                  float64
+	fadeStep, shareStep ouStep
 
 	// AggBWBudgetMHz is the aggregate bandwidth beyond which extra
 	// SCells get RB-throttled under load.
@@ -98,9 +105,13 @@ const (
 // the jitter of the scheduler's RB share.
 type ccNoise struct{ fading, share *rng.OU }
 
+// ccDraws are one step's values of a serving CC's fast fading (dB) and RB
+// share jitter.
+type ccDraws struct{ fade, share float64 }
+
 // noiseFor returns the PCI's processes, split from the scheduler's stream
-// on the carrier's first observation. Their parameters are set by
-// ouStep.advance before every step.
+// on the carrier's first step. Their parameters are set by ouStep.advance
+// before every step.
 func (s *Scheduler) noiseFor(pci int) *ccNoise {
 	if pci >= len(s.noise) {
 		s.noise = append(s.noise, make([]*ccNoise, pci+1-len(s.noise))...)
@@ -229,29 +240,69 @@ func (s *Scheduler) ObserveUL(e *Engine, p mobility.Point, pat mobility.Mobility
 	return s.observe(e, p, pat, indoor, events, dt, &u)
 }
 
+// Advance is the state phase of an observation: it creates each serving
+// CC's noise processes on the CC's first step, in serving order, and steps
+// its fading and RB-share processes, keeping the draws for the measurement
+// phase. Observe and ObserveUL run it first. A step nobody observes runs
+// it alone, and the steps after it observe what they would have after an
+// observation. It reads no load and no link.
+func (s *Scheduler) Advance(e *Engine, pat mobility.Mobility, dt float64) {
+	s.draws = s.draws[:0]
+	if len(e.serving) == 0 {
+		return
+	}
+	if dt != s.dt {
+		s.dt, s.fadeStep, s.shareStep = dt, newOUStep(fadingTauS, dt), newOUStep(shareTauS, dt)
+	}
+	for _, sc := range e.serving {
+		noise := s.noiseFor(sc.Cell.PCI)
+		s.draws = append(s.draws, ccDraws{
+			fade:  s.fadeStep.advance(noise.fading, fadingSigma(pat, e.isFR2(sc.Cell))),
+			share: s.shareStep.advance(noise.share, shareStd),
+		})
+	}
+}
+
+// ActiveCCs returns the NumActiveCCs an observation of the engine's serving
+// set would report now, without measuring it: the CCs carrying data, at
+// most ul.MaxCC of them on the uplink (nil ul: the downlink).
+func ActiveCCs(e *Engine, ul *ULConfig) int {
+	n := 0
+	for _, sc := range e.serving {
+		if sc.Active(e.now) {
+			n++
+		}
+	}
+	if ul != nil {
+		n = min(n, ul.withDefaults().MaxCC)
+	}
+	return n
+}
+
+// observe runs the state phase (Advance), then the measurement phase:
+// each serving CC's radio state, link adaptation, RB share and goodput.
 func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, indoor bool, events []Event, dt float64, ul *ULConfig) Snapshot {
+	s.Advance(e, pat, dt)
 	serving := e.Serving()
 	snap := Snapshot{At: e.Now(), Events: events}
 	if len(serving) == 0 {
 		return snap
 	}
 	numCCs := len(serving)
-	fadeStep, shareStep := newOUStep(fadingTauS, dt), newOUStep(shareTauS, dt)
 	lag := cqiLag(pat)
 	snap.CCs = s.ccs[:0]
 	// Aggregate bandwidth in activation order, to find throttled SCells.
 	cumBW := 0.0
 	ulCCs := 0
-	for _, sc := range serving {
+	for i, sc := range serving {
 		cell := sc.Cell
 		rs := e.MeasureServing(sc, p, indoor)
-		fr2 := cell.Chan.Band.Tech == spectrum.NR && cell.Chan.Band.Range() == spectrum.FR2
-		noise := s.noiseFor(cell.PCI)
-		fade := fadeStep.advance(noise.fading, fadingSigma(pat, fr2))
+		fr2 := e.isFR2(cell)
+		draw := s.draws[i]
 
 		// Reported quantities come from SSB measurements: unaffected by
 		// PDSCH power policy.
-		reportedSINR := rs.SINRdB + fade
+		reportedSINR := rs.SINRdB + draw.fade
 
 		// Link adaptation, once for the recorded direction. Downlink:
 		// PDSCH conditioning under CA (paper Fig 14): deep combos reduce
@@ -272,7 +323,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 
 		// RB share: background load plus CA throttling (paper Fig 15).
 		load := cell.Load()
-		share := 0.95 - 0.72*load + shareStep.advance(noise.share, shareStd)
+		share := 0.95 - 0.72*load + draw.share
 		if !fr2 {
 			// The FR1 bandwidth budget: once the aggregate exceeds it,
 			// further SCells are deprioritized, increasingly so when

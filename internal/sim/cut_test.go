@@ -92,3 +92,54 @@ func TestCutAroundTransitionPassthrough(t *testing.T) {
 		t.Fatalf("passthrough rebased timestamps: %v", out.Samples[0].T)
 	}
 }
+
+// bruteSegment is the segment rule by enumeration: the start of the
+// n-step segment with the most changes between two of its own steps, the
+// earliest on a tie.
+func bruteSegment(active []int, n int) int {
+	best, bestStart := -1, 0
+	for start := 0; start+n <= len(active); start++ {
+		count := 0
+		for i := start + 1; i < start+n; i++ {
+			if active[i] != active[i-1] {
+				count++
+			}
+		}
+		if count > best {
+			best, bestStart = count, start
+		}
+	}
+	return bestStart
+}
+
+// FuzzCutSegment checks the segment rule the short build's scout and
+// CutAroundTransition share: over random active-CC counts and segment
+// lengths, cutSegment must pick bruteSegment's start, and
+// CutAroundTransition must keep that segment of a trace with those counts.
+func FuzzCutSegment(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 2, 3, 4, 4}, uint16(2))
+	f.Add([]byte{1, 2, 3, 4}, uint16(3))
+	f.Add([]byte{2, 2, 2, 2, 2}, uint16(3))
+	f.Add([]byte{1, 1, 1, 2, 1, 2, 2}, uint16(3))
+	f.Add([]byte{1, 1, 1, 1, 2}, uint16(2))
+	f.Fuzz(func(t *testing.T, counts []byte, n uint16) {
+		if len(counts) < 2 {
+			t.Skip()
+		}
+		// A small alphabet makes runs, so segments differ in count.
+		active := make([]int, len(counts))
+		for i, c := range counts {
+			active[i] = int(c % 4)
+		}
+		seg := 1 + int(n)%(len(active)-1)
+		want := bruteSegment(active, seg)
+		if got := cutSegment(active, seg); got != want {
+			t.Fatalf("cutSegment(%v, %d) = %d, want %d", active, seg, got, want)
+		}
+		out := CutAroundTransition(ccTrace(active), seg)
+		if len(out.Samples) != seg || int(out.Samples[0].AggTput) != want {
+			t.Fatalf("CutAroundTransition kept %d samples from %v, want %d from %d",
+				len(out.Samples), out.Samples[0].AggTput, seg, want)
+		}
+	})
+}

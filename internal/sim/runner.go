@@ -62,12 +62,18 @@ type evMark struct {
 // the root stream, reusing an external one costs none.
 func NewRunner(cfg RunConfig) *Runner {
 	cfg.defaults()
+	return newOwnRunner(cfg, cfg.steps())
+}
+
+// newOwnRunner is NewRunner for a normalized configuration, with storage
+// for keep samples.
+func newOwnRunner(cfg RunConfig, keep int) *Runner {
 	src := rng.New(cfg.Seed)
 	net := cfg.Net
 	if net == nil {
 		net = ran.NewNetwork(cfg.Operator, cfg.Scenario, src)
 	}
-	return newRunner(cfg, net, src, true)
+	return newRunner(cfg, net, src, true, keep)
 }
 
 // NewPopRunner opens a run against a shared population grid. cfg.Net must
@@ -83,10 +89,12 @@ func NewPopRunner(cfg RunConfig) *Runner {
 	cfg.defaults()
 	src := rng.New(cfg.Seed)
 	_ = src.Uint64() // mirror NewNetwork's Split draw
-	return newRunner(cfg, cfg.Net, src, false)
+	return newRunner(cfg, cfg.Net, src, false, cfg.steps())
 }
 
-func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *Runner {
+// newRunner opens a run with storage for keep samples, the whole run's for
+// a run that records every step.
+func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool, keep int) *Runner {
 	ue := ran.NewUE(cfg.Modem)
 	rcfg := ran.DefaultConfig(cfg.Tech)
 	rcfg.ReestablishDelayS = cfg.ReestablishDelayS
@@ -108,10 +116,9 @@ func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *
 	}
 	mv := mobility.NewMover(cfg.Scenario, cfg.Mobility, start, src)
 
-	steps := int(cfg.DurationS / cfg.StepS)
 	var samples []trace.Sample
-	if steps > 0 {
-		samples = make([]trace.Sample, 0, steps) // RecordStep fills it in place
+	if keep > 0 {
+		samples = make([]trace.Sample, 0, keep) // RecordStep fills it in place
 	}
 	return &Runner{
 		cfg:   cfg,
@@ -138,7 +145,7 @@ func newRunner(cfg RunConfig, net *ran.Network, src *rng.Source, stepNet bool) *
 		indoor:     cfg.Scenario.IsIndoor(),
 		stepNet:    stepNet,
 		prevCCs:    -1,
-		steps:      steps,
+		steps:      cfg.steps(),
 	}
 }
 
@@ -150,35 +157,34 @@ func (r *Runner) Steps() int { return r.steps }
 
 // WarmStep advances the run dt seconds without recording: the UE attaches
 // and builds its CA set so traces start from a steady state.
-func (r *Runner) WarmStep(dt float64) {
-	moved := r.mv.Step(dt)
-	r.stats.DistanceM += moved
-	if r.stepNet {
-		r.net.StepLoads(r.cfg.TODMultiplier, dt)
+func (r *Runner) WarmStep(dt float64) { r.advance(dt) }
+
+// warmUp runs the warmup phase: WarmStep over cfg.WarmupS in WarmupStepS
+// steps.
+func (r *Runner) warmUp() {
+	for t := 0.0; t < r.cfg.WarmupS; t += WarmupStepS {
+		r.WarmStep(WarmupStepS)
 	}
-	r.eng.Step(r.mv.Pos(), moved, dt, r.indoor)
 }
 
 // BeginRecording rebases sample timestamps to the current engine clock;
 // call once, between warmup and the first RecordStep.
 func (r *Runner) BeginRecording() { r.t0 = r.eng.Now() }
 
-// RecordStep advances the run one sampling interval and appends the
-// sample to the trace.
-func (r *Runner) RecordStep() {
-	moved := r.mv.Step(r.cfg.StepS)
+// advance moves the run dt seconds: the UE, the network's load log and
+// the engine. It returns the step's RRC events.
+func (r *Runner) advance(dt float64) []ran.Event {
+	moved := r.mv.Step(dt)
 	r.stats.DistanceM += moved
 	if r.stepNet {
-		r.net.StepLoads(r.cfg.TODMultiplier, r.cfg.StepS)
+		r.net.StepLoads(r.cfg.TODMultiplier, dt)
 	}
-	events := r.eng.Step(r.mv.Pos(), moved, r.cfg.StepS, r.indoor)
-	var snap ran.Snapshot
-	if r.cfg.Direction == trace.DirectionUL {
-		snap = r.sched.ObserveUL(r.eng, r.mv.Pos(), r.cfg.Mobility, r.indoor, events, r.cfg.StepS, r.cfg.UL)
-	} else {
-		snap = r.sched.Observe(r.eng, r.mv.Pos(), r.cfg.Mobility, r.indoor, events, r.cfg.StepS)
-	}
+	return r.eng.Step(r.mv.Pos(), moved, dt, r.indoor)
+}
 
+// track keeps what later samples read of a step at time at: its RRC
+// events, their marks on the event channel and the slot table.
+func (r *Runner) track(events []ran.Event, at float64) {
 	for _, ev := range events {
 		r.stats.Events = append(r.stats.Events, ev)
 		if ev.Cell == nil {
@@ -186,19 +192,42 @@ func (r *Runner) RecordStep() {
 		}
 		switch ev.Type {
 		case ran.EvSCellAdd, ran.EvSCellActivate, ran.EvPCellSwitch:
-			r.eventMarks[ev.Cell.PCI] = evMark{sign: 1, until: snap.At + eventHold}
+			r.eventMarks[ev.Cell.PCI] = evMark{sign: 1, until: at + eventHold}
 		case ran.EvSCellRemove, ran.EvRadioLinkFailure:
-			r.eventMarks[ev.Cell.PCI] = evMark{sign: -1, until: snap.At + eventHold}
+			r.eventMarks[ev.Cell.PCI] = evMark{sign: -1, until: at + eventHold}
 		}
 	}
+	r.slots.sync(r.eng.Serving())
+}
+
+// skipStep is RecordStep without the sample: it runs the scheduler's state
+// phase alone and keeps what track keeps, so a RecordStep after it records
+// what it would have after a RecordStep. It measures nothing.
+func (r *Runner) skipStep() {
+	events := r.advance(r.cfg.StepS)
+	r.sched.Advance(r.eng, r.cfg.Mobility, r.cfg.StepS)
+	r.track(events, r.eng.Now())
+}
+
+// RecordStep advances the run one sampling interval and appends the
+// sample to the trace.
+func (r *Runner) RecordStep() {
+	events := r.advance(r.cfg.StepS)
+	var snap ran.Snapshot
+	if r.cfg.Direction == trace.DirectionUL {
+		snap = r.sched.ObserveUL(r.eng, r.mv.Pos(), r.cfg.Mobility, r.indoor, events, r.cfg.StepS, r.cfg.UL)
+	} else {
+		snap = r.sched.Observe(r.eng, r.mv.Pos(), r.cfg.Mobility, r.indoor, events, r.cfg.StepS)
+	}
+	r.track(events, snap.At)
 
 	r.tr.Samples = append(r.tr.Samples, trace.Sample{})
 	s := &r.tr.Samples[len(r.tr.Samples)-1]
 	s.T = snap.At - r.t0
 	s.AggTput = snap.AggregateMbps
 	s.NumActiveCCs = snap.NumActiveCCs
-	r.slots.sync(snap.CCs)
-	for _, cc := range snap.CCs {
+	for i := range snap.CCs {
+		cc := &snap.CCs[i]
 		slot, ok := r.slots.slotOf(cc.PCI)
 		if !ok {
 			continue // beyond MaxCC slots: contributes to aggregate only
@@ -257,12 +286,18 @@ func (r *Runner) Finish() (trace.Trace, RunStats) {
 	// reproducible clean or degraded from the same seed.
 	r.stats.Faults = r.cfg.Faults.Apply(&r.tr, r.cfg.Seed^faultSeedSalt)
 	r.eng.Release()
+	countRun(len(r.tr.Samples), len(r.stats.Events), r.stats.CCChangeCount, r.stats.Faults.Total())
+	return r.tr, r.stats
+}
+
+// countRun adds one finished run to the sim.* counters: its samples, RRC
+// events, active-CC-count changes and injected faults.
+func countRun(samples, events, ccChanges, faults int) {
 	if reg := obs.Default(); reg.Enabled() {
 		reg.Add("sim.traces_built", 1)
-		reg.Add("sim.samples_generated", int64(len(r.tr.Samples)))
-		reg.Add("sim.rrc_events", int64(len(r.stats.Events)))
-		reg.Add("sim.cc_changes", int64(r.stats.CCChangeCount))
-		reg.Add("sim.faults_injected", int64(r.stats.Faults.Total()))
+		reg.Add("sim.samples_generated", int64(samples))
+		reg.Add("sim.rrc_events", int64(events))
+		reg.Add("sim.cc_changes", int64(ccChanges))
+		reg.Add("sim.faults_injected", int64(faults))
 	}
-	return r.tr, r.stats
 }

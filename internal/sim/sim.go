@@ -90,6 +90,9 @@ func (c *RunConfig) defaults() {
 	}
 }
 
+// steps returns the number of sampling intervals the run records.
+func (c *RunConfig) steps() int { return int(c.DurationS / c.StepS) }
+
 // RunStats summarizes a run beyond the trace itself.
 type RunStats struct {
 	Events        []ran.Event
@@ -119,22 +122,92 @@ func Run(cfg RunConfig) (trace.Trace, RunStats) {
 	cfg.defaults()
 	r := NewRunner(cfg)
 	// Warm up: let the UE attach and build its CA set before recording.
-	for t := 0.0; t < cfg.WarmupS; t += WarmupStepS {
-		r.WarmStep(WarmupStepS)
-	}
+	r.warmUp()
 	r.BeginRecording()
 	for i, n := 0, r.Steps(); i < n; i++ {
 		r.RecordStep()
 	}
 	tr, stats := r.Finish()
+	endTraceBuild(sp, cfg, len(tr.Samples), len(stats.Events), stats.Faults.Total())
+	return tr, stats
+}
+
+// replays reports whether runCut scouts and replays a normalized run
+// rather than cutting Run's trace: the run has no fault plan and its own
+// network, and the cut drops some of its samples.
+func replays(cfg *RunConfig, n int) bool {
+	return cfg.Faults == nil && cfg.Net == nil && n > 0 && n < cfg.steps()
+}
+
+// endTraceBuild ends a run's sim.trace_build span with the run's samples,
+// RRC events and injected faults.
+func endTraceBuild(sp obs.Span, cfg RunConfig, samples, events, faults int) {
 	if reg := obs.Default(); reg.Enabled() {
 		sp.EndWith(map[string]any{
 			"operator": string(cfg.Operator), "scenario": cfg.Scenario.String(),
-			"samples": len(tr.Samples), "events": len(stats.Events),
-			"faults": stats.Faults.Total(),
+			"samples": samples, "events": events, "faults": faults,
 		})
 	}
-	return tr, stats
+}
+
+// runCut returns CutAroundTransition(Run(cfg), n) and the run's fault
+// report, with the same telemetry. A run with no fault plan and its own
+// network is simulated twice from its seed, and only the kept samples are
+// observed:
+//
+//   - the scout steps the UE, the load log and the engine, and records
+//     each step's active-CC count, the one thing the cut reads;
+//     cutSegment picks the segment from the counts;
+//   - the replay runs the scheduler's state phase up to the segment,
+//     keeping the slot table and the event marks, and records the
+//     segment's steps with RecordStep.
+//
+// This is exact because an observation changes nothing any later step
+// reads but the scheduler's own processes, which the state phase steps:
+// the loads it reads are caught up on the next read from each cell's own
+// stream, the links it reads were created by the evaluation that made the
+// cell a candidate, and the term generation it starts changes no value.
+// A fault plan rewrites samples over the whole trace, and a shared network
+// cannot be run twice, so those runs take Run and the cut.
+func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
+	cfg.defaults()
+	if !replays(&cfg, n) {
+		tr, stats := Run(cfg)
+		return CutAroundTransition(tr, n), stats.Faults
+	}
+	steps := cfg.steps()
+	sp := obs.StartSpan("sim.trace_build")
+	var ul *ran.ULConfig
+	if cfg.Direction == trace.DirectionUL {
+		ul = &cfg.UL
+	}
+	scout := newOwnRunner(cfg, 0)
+	scout.warmUp()
+	active := make([]int, steps)
+	events, changes := 0, 0
+	for i := range active {
+		events += len(scout.advance(cfg.StepS))
+		active[i] = ran.ActiveCCs(scout.eng, ul)
+		if i > 0 && active[i] != active[i-1] {
+			changes++
+		}
+	}
+	start := cutSegment(active, n)
+
+	r := newOwnRunner(cfg, n)
+	r.warmUp()
+	r.BeginRecording()
+	for i := 0; i < start; i++ {
+		r.skipStep()
+	}
+	for i := 0; i < n; i++ {
+		r.RecordStep()
+	}
+	r.eng.Release()
+	rebase(r.tr.Samples)
+	countRun(steps, events, changes, 0)
+	endTraceBuild(sp, cfg, steps, events, 0)
+	return r.tr, faults.Report{}
 }
 
 // faultSeedSalt separates the fault layer's rng domain from the
@@ -154,17 +227,17 @@ func newSlotTable() *slotTable {
 }
 
 // sync reconciles the table with the current serving set.
-func (st *slotTable) sync(ccs []ran.CCObservation) {
+func (st *slotTable) sync(serving []*ran.ServingCC) {
 	var pcellPCI int
 	hasPCell := false
-	for _, cc := range ccs {
-		if cc.IsPCell {
-			pcellPCI, hasPCell = cc.PCI, true
+	for _, sc := range serving {
+		if sc.IsPCell {
+			pcellPCI, hasPCell = sc.Cell.PCI, true
 		}
 	}
 	// Release departed CCs.
 	for pci, slot := range st.byPCI {
-		if !slices.ContainsFunc(ccs, func(cc ran.CCObservation) bool { return cc.PCI == pci }) {
+		if !slices.ContainsFunc(serving, func(sc *ran.ServingCC) bool { return sc.Cell.PCI == pci }) {
 			st.used[slot] = false
 			delete(st.byPCI, pci)
 		}
@@ -190,12 +263,12 @@ func (st *slotTable) sync(ccs []ran.CCObservation) {
 		}
 	}
 	// Assign remaining CCs.
-	for _, cc := range ccs {
-		if _, ok := st.byPCI[cc.PCI]; ok {
+	for _, sc := range serving {
+		if _, ok := st.byPCI[sc.Cell.PCI]; ok {
 			continue
 		}
 		if free, ok := st.freeSlot(1); ok {
-			st.byPCI[cc.PCI] = free
+			st.byPCI[sc.Cell.PCI] = free
 			st.used[free] = true
 		}
 	}
@@ -365,9 +438,10 @@ func buildDefaults(opts BuildOpts) BuildOpts {
 // BuildConfigs returns the per-trace run configurations of a sub-dataset
 // build, seeds included, in trace order. This is the sub-dataset's
 // determinism contract made explicit: trace i of Build(spec, opts) is
-// Run(BuildConfigs(spec, opts)[i]) (cut around its first CA transition at
-// the short granularity). The population and conformance layers use it to
-// replicate individual build traces.
+// Run(BuildConfigs(spec, opts)[i]), at the short granularity cut by
+// CutAroundTransition to opts.SamplesPerTrace samples (which runCut
+// computes without observing the steps the cut drops). The population and
+// conformance layers use it to replicate individual build traces.
 func BuildConfigs(spec SubDatasetSpec, opts BuildOpts) []RunConfig {
 	opts = buildDefaults(opts)
 	seedSrc := rng.New(opts.Seed ^ uint64(len(spec.Name()))*0x9e37)
@@ -433,14 +507,15 @@ func BuildStream(spec SubDatasetSpec, opts BuildOpts, sink trace.Sink) (faults.R
 	emitted := 0
 	err := par.OrderedStream(context.Background(), opts.Traces, opts.Workers,
 		func(i int) (built, error) {
-			tr, stats := Run(cfgs[i])
 			if spec.Gran == Short {
-				tr = CutAroundTransition(tr, opts.SamplesPerTrace)
+				tr, rep := runCut(cfgs[i], opts.SamplesPerTrace)
+				return built{tr: tr, faults: rep}, nil
 			}
-			return built{tr: tr, stats: stats}, nil
+			tr, stats := Run(cfgs[i])
+			return built{tr: tr, faults: stats.Faults}, nil
 		},
 		func(i int, b built) error {
-			report.Add(b.stats.Faults)
+			report.Add(b.faults)
 			emitted++
 			return sink.Emit(b.tr)
 		})
@@ -456,10 +531,10 @@ func BuildStream(spec SubDatasetSpec, opts BuildOpts, sink trace.Sink) (faults.R
 	return report, err
 }
 
-// built pairs one generated trace with its run statistics.
+// built pairs one generated trace with its run's fault report.
 type built struct {
-	tr    trace.Trace
-	stats RunStats
+	tr     trace.Trace
+	faults faults.Report
 }
 
 // CutAroundTransition returns the n-sample segment of tr containing the
@@ -472,36 +547,47 @@ func CutAroundTransition(tr trace.Trace, n int) trace.Trace {
 	if n <= 0 || n >= len(tr.Samples) {
 		return tr
 	}
-	// Transition indicator per sample.
-	N := len(tr.Samples)
-	trans := make([]int, N)
-	for i := 1; i < N; i++ {
-		if tr.Samples[i].NumActiveCCs != tr.Samples[i-1].NumActiveCCs {
-			trans[i] = 1
-		}
+	active := make([]int, len(tr.Samples))
+	for i := range tr.Samples {
+		active[i] = tr.Samples[i].NumActiveCCs
 	}
-	// Sliding-window count, keeping the transition away from the very
-	// edges by evaluating interior coverage only: trans[i] records the
-	// change between samples i-1 and i, so for a window [s, s+n) only
-	// trans[s+1 .. s+n-1] are interior — trans[s] happened against sample
-	// s-1 outside the window and must not be credited to it.
-	count := 0
-	for i := 1; i < n; i++ {
-		count += trans[i]
-	}
-	best, bestStart := count, 0
-	for startIdx := 1; startIdx+n <= N; startIdx++ {
-		count += trans[startIdx+n-1] - trans[startIdx]
-		if count > best {
-			best, bestStart = count, startIdx
-		}
-	}
-	start := bestStart
+	start := cutSegment(active, n)
 	out := tr
 	out.Samples = append([]trace.Sample(nil), tr.Samples[start:start+n]...)
-	t0 := out.Samples[0].T
-	for i := range out.Samples {
-		out.Samples[i].T -= t0
-	}
+	rebase(out.Samples)
 	return out
+}
+
+// cutSegment returns the start of the n-step segment of a run whose step i
+// has active[i] active CCs that holds the most active-CC-count changes,
+// the earliest on a tie, for 0 < n < len(active). A change counts only
+// when both of its steps lie in the segment: the change into step s
+// happened against step s-1, outside the segment [s, s+n).
+func cutSegment(active []int, n int) int {
+	changed := func(i int) int {
+		if active[i] != active[i-1] {
+			return 1
+		}
+		return 0
+	}
+	count := 0
+	for i := 1; i < n; i++ {
+		count += changed(i)
+	}
+	best, bestStart := count, 0
+	for start := 1; start+n <= len(active); start++ {
+		count += changed(start+n-1) - changed(start)
+		if count > best {
+			best, bestStart = count, start
+		}
+	}
+	return bestStart
+}
+
+// rebase shifts the samples' timestamps so the first is zero.
+func rebase(samples []trace.Sample) {
+	t0 := samples[0].T
+	for i := range samples {
+		samples[i].T -= t0
+	}
 }

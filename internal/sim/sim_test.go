@@ -435,21 +435,24 @@ func TestCensusMatchesPerStepKeys(t *testing.T) {
 	}
 }
 
-// TestRecordStepAllocatesNothing pins the allocation-free 10 ms step:
-// across a recorded run only CA events and a cell's first measurement
-// allocate, far less than once per step on average.
+// TestRecordStepAllocatesNothing pins the allocation-free 10 ms step, and
+// the replay's state-only step: across a run only CA events and a cell's
+// first measurement allocate, far less than once per step on average.
 func TestRecordStepAllocatesNothing(t *testing.T) {
 	spec := SubDatasetSpec{Operator: spectrum.OpX, Mobility: mobility.Driving, Gran: Short}
 	cfg := BuildConfigs(spec, BuildOpts{Traces: 1, SamplesPerTrace: 240, Seed: 53, Modem: ran.ModemX70})[0]
-	r := NewRunner(cfg)
-	for t := 0.0; t < r.Cfg().WarmupS; t += WarmupStepS {
-		r.WarmStep(WarmupStepS)
-	}
-	r.BeginRecording()
-	// AllocsPerRun makes one extra warm-up call: Steps()-1 runs record
-	// exactly the run's samples.
-	if allocs := testing.AllocsPerRun(r.Steps()-1, r.RecordStep); allocs != 0 {
-		t.Fatalf("RecordStep allocated %v times per step, want 0", allocs)
+	for _, step := range []struct {
+		name string
+		f    func(*Runner)
+	}{{"RecordStep", (*Runner).RecordStep}, {"skipStep", (*Runner).skipStep}} {
+		r := NewRunner(cfg)
+		r.warmUp()
+		r.BeginRecording()
+		// AllocsPerRun makes one extra warm-up call: Steps()-1 runs
+		// step exactly the run's samples.
+		if allocs := testing.AllocsPerRun(r.Steps()-1, func() { step.f(r) }); allocs != 0 {
+			t.Fatalf("%s allocated %v times per step, want 0", step.name, allocs)
+		}
 	}
 }
 

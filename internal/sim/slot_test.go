@@ -9,19 +9,24 @@ import (
 )
 
 // ccset is shorthand for a serving set built from (pci, isPCell) pairs.
-func ccset(pairs ...[2]int) []ran.CCObservation {
-	var ccs []ran.CCObservation
+func ccset(pairs ...[2]int) []*ran.ServingCC {
+	var ccs []*ran.ServingCC
 	for _, p := range pairs {
-		ccs = append(ccs, ran.CCObservation{PCI: p[0], IsPCell: p[1] == 1})
+		ccs = append(ccs, servingCC(p[0], p[1] == 1))
 	}
 	return ccs
+}
+
+// servingCC is a serving CC on a cell with the given PCI.
+func servingCC(pci int, isPCell bool) *ran.ServingCC {
+	return &ran.ServingCC{Cell: &ran.Cell{PCI: pci}, IsPCell: isPCell}
 }
 
 // checkSlotInvariants asserts the four slotTable invariants after a sync:
 // used[i] holds exactly when one PCI maps to slot i, no departed PCI keeps
 // an assignment, the PCell (if any) sits at slot 0, and no two PCIs share
 // a slot.
-func checkSlotInvariants(t *testing.T, st *slotTable, ccs []ran.CCObservation) {
+func checkSlotInvariants(t *testing.T, st *slotTable, ccs []*ran.ServingCC) {
 	t.Helper()
 	holders := map[int]int{}
 	for pci, slot := range st.byPCI {
@@ -42,10 +47,10 @@ func checkSlotInvariants(t *testing.T, st *slotTable, ccs []ran.CCObservation) {
 	}
 	current := map[int]bool{}
 	for _, cc := range ccs {
-		current[cc.PCI] = true
+		current[cc.Cell.PCI] = true
 		if cc.IsPCell {
-			if s, ok := st.byPCI[cc.PCI]; !ok || s != 0 {
-				t.Fatalf("pcell %d at slot %d (assigned=%v), want slot 0", cc.PCI, s, ok)
+			if s, ok := st.byPCI[cc.Cell.PCI]; !ok || s != 0 {
+				t.Fatalf("pcell %d at slot %d (assigned=%v), want slot 0", cc.Cell.PCI, s, ok)
 			}
 		}
 	}
@@ -163,7 +168,7 @@ func TestSlotTableInvariantSweep(t *testing.T) {
 			// Random serving set of 0..8 CCs from PCIs 1..10 (beyond
 			// MaxCC on purpose), usually with a PCell.
 			n := src.Intn(9)
-			var ccs []ran.CCObservation
+			var ccs []*ran.ServingCC
 			seen := map[int]bool{}
 			for len(ccs) < n {
 				pci := 1 + src.Intn(10)
@@ -171,7 +176,7 @@ func TestSlotTableInvariantSweep(t *testing.T) {
 					continue
 				}
 				seen[pci] = true
-				ccs = append(ccs, ran.CCObservation{PCI: pci})
+				ccs = append(ccs, servingCC(pci, false))
 			}
 			if len(ccs) > 0 && src.Bool(0.9) {
 				ccs[src.Intn(len(ccs))].IsPCell = true
@@ -185,7 +190,7 @@ func TestSlotTableInvariantSweep(t *testing.T) {
 			hasP := false
 			for _, cc := range ccs {
 				if cc.IsPCell {
-					pcellPCI, hasP = cc.PCI, true
+					pcellPCI, hasP = cc.Cell.PCI, true
 				}
 			}
 			for pci, slot := range st.byPCI {
