@@ -6,7 +6,7 @@ import "time"
 // one on the disabled path allocates nothing and End on the zero Span is a
 // no-op, so instrumentation sites can unconditionally
 //
-//	sp := obs.StartSpan("experiments.table4")
+//	sp := obs.StartSpan("experiments.Table4")
 //	defer sp.End()
 //
 // Ending a span records its duration (seconds) into the histogram named

@@ -259,10 +259,10 @@ type RadioState struct {
 	SINRdB  float64
 }
 
-// Evaluate computes the link's radio state at 2D distance d (meters).
-// indoor adds building-entry loss; loadINR is the interference-to-noise
-// ratio (linear) from neighbour-cell load.
-func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
+// RSRP returns the link's reference signal received power (dBm) at 2D
+// distance d (meters); indoor adds building-entry loss. It reads no
+// interference, so it is Evaluate's RSRPdBm for any loadINR.
+func (l *Link) RSRP(dM float64, indoor bool) float64 {
 	pl := l.PathLoss(dM, l.Site.LOS)
 	if indoor {
 		pl += l.IndoorDB
@@ -274,6 +274,14 @@ func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
 	if rsrp < -140 {
 		rsrp = -140 // detection floor
 	}
+	return rsrp
+}
+
+// Evaluate computes the link's radio state at 2D distance d (meters).
+// indoor adds building-entry loss; loadINR is the interference-to-noise
+// ratio (linear) from neighbour-cell load.
+func (l *Link) Evaluate(dM float64, indoor bool, loadINR float64) RadioState {
+	rsrp := l.RSRP(dM, indoor)
 	intfDB := 10 * math.Log10(1+loadINR)
 	sinr := rsrp - l.NoiseDBm - intfDB
 	if sinr > 32 {

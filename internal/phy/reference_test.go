@@ -147,6 +147,10 @@ func TestLinkEvaluateMatchesReference(t *testing.T) {
 						t.Fatalf("f=%v los=%v d=%v indoor=%v inr=%v: %+v, reference %+v",
 							fc[0], l.Site.LOS, d, indoor, inr, got, want)
 					}
+					if rsrp := l.RSRP(d, indoor); !sameBits(rsrp, got.RSRPdBm) {
+						t.Fatalf("f=%v los=%v d=%v indoor=%v: RSRP %v, Evaluate's %v",
+							fc[0], l.Site.LOS, d, indoor, rsrp, got.RSRPdBm)
+					}
 				}
 				if i%10 == 0 {
 					l.Site.Move(20, d)

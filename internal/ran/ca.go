@@ -161,17 +161,11 @@ type Engine struct {
 	comboKey, comboSetKey string
 
 	// cands, ms and adds are scratch lists of one evaluation, kept to be
-	// reused by the next.
+	// reused by the next. near holds the terms of one co-channel sum,
+	// sized in NewEngine for the longest interferer list.
 	cands    []*Cell
 	ms, adds []measurement
-	// terms holds, per cell of Net.Cells, its interference term within
-	// the current term generation (gen); entries of earlier ones are
-	// stale. An evaluation and each serving measurement start a
-	// generation. near holds the terms one co-channel sum computes, sized
-	// in NewEngine for the longest interferer list.
-	terms []interferenceTerm
-	gen   uint64
-	near  []nearTerm
+	near     []nearTerm
 
 	// bandLock restricts usable bands (the paper's [C1] band locking via
 	// operator service codes). Empty means unrestricted.
@@ -192,13 +186,6 @@ type Engine struct {
 	// completes after a radio link failure.
 	rlfBarUntil float64
 	reattaching bool
-}
-
-// interferenceTerm is a cell's co-channel interference term and the
-// generation it was computed in.
-type interferenceTerm struct {
-	gen uint64
-	v   float64
 }
 
 // nearTerm is an interferer in reach whose term is being computed, and
@@ -228,7 +215,6 @@ func NewEngine(net *Network, ue UE, cfg Config, src *rng.Source) *Engine {
 		links:     map[int]*phy.Link{},
 		sites:     map[int]*phy.SiteState{},
 		bands:     map[string]*phy.BandState{},
-		terms:     make([]interferenceTerm, len(net.Cells)),
 		near:      make([]nearTerm, 0, longest),
 		src:       src.Split(),
 		bandLock:  map[string]bool{},
@@ -344,12 +330,13 @@ func (e *Engine) syncServing() {
 	e.comboKey, e.comboSetKey = combo.Key(), combo.SetKey()
 }
 
-// measure evaluates the link radio state of a cell from position p during
-// an evaluation.
-func (e *Engine) measure(c *Cell, p mobility.Point, indoor bool) phy.RadioState {
+// measure returns the RSRP of a cell from position p during an evaluation,
+// the one quantity the evaluation decides on. Measuring a cell again
+// within an evaluation gives the same bits: nothing moves until the next
+// step.
+func (e *Engine) measure(c *Cell, p mobility.Point, indoor bool) float64 {
 	d := c.Pos.Dist(p)
-	l := e.link(c, d)
-	return l.Evaluate(d, indoor, e.coChannelINR(c, p, indoor))
+	return e.link(c, d).RSRP(d, indoor)
 }
 
 // coChannelINR returns the interference-to-noise ratio (linear) a UE at p
@@ -359,22 +346,13 @@ func (e *Engine) measure(c *Cell, p mobility.Point, indoor bool) phy.RadioState 
 // urban SINR interference-limited: near the serving site the ratio is
 // tiny, at the cell edge it dominates.
 //
-// A term is computed once per generation and kept in the engine's term
-// scratch. Within a generation the UE position, the indoor flag and every
-// load are fixed, and a term does not depend on which co-channel cell's
-// sum it enters, so the candidates of a channel share it. The terms still
-// missing are computed in phases, each over all of them: distance and
-// reach, exponent, Pow10, times load. Their Log and Exp chains are
-// independent, so the phases let the CPU overlap them. The sum then adds
-// every interferer's term in list order, a 0 for one beyond reach.
+// The terms are computed in phases, each over every interferer in reach:
+// distance and reach, exponent, Pow10, then times load into the sum, in
+// list order. Their Log and Exp chains are independent, so the phases let
+// the CPU overlap them.
 func (e *Engine) coChannelINR(c *Cell, p mobility.Point, indoor bool) float64 {
 	near := e.near[:0]
 	for _, o := range c.interferers {
-		t := &e.terms[o.idx]
-		if t.gen == e.gen {
-			continue
-		}
-		t.gen, t.v = e.gen, 0
 		if d := o.Pos.Dist(p); d <= o.reachM {
 			near = append(near, nearTerm{o, d})
 		}
@@ -390,43 +368,27 @@ func (e *Engine) coChannelINR(c *Cell, p mobility.Point, indoor bool) float64 {
 	for i := range near {
 		near[i].x = phy.Pow10(near[i].x)
 	}
+	inr := 0.0
 	for _, n := range near {
 		// The conversion rounds the product, so no compiler fuses it
-		// into the sum below.
-		e.terms[n.cell.idx].v = float64(n.x * n.cell.Load())
-	}
-	inr := 0.0
-	for _, o := range c.interferers {
-		inr += e.terms[o.idx].v
+		// into the sum.
+		inr += float64(n.x * n.cell.Load())
 	}
 	return inr
 }
 
-// remeasure returns the radio state of a serving cell during an
-// evaluation: the candidate round's measurement when the cell was a
-// candidate (no radio state moves within an evaluation, so measuring it
-// again would give the same bits), else a fresh one.
-func (e *Engine) remeasure(c *Cell, p mobility.Point, indoor bool) phy.RadioState {
-	for i := range e.ms {
-		if e.ms[i].cell == c {
-			return e.ms[i].rs
-		}
-	}
-	return e.measure(c, p, indoor)
-}
-
 // pcellScore ranks PCell candidates: RSRP plus a capacity-layer preference
 // when the mid-band signal is adequate.
-func (e *Engine) pcellScore(c *Cell, rs phy.RadioState) float64 {
-	score := rs.RSRPdBm
-	if c.Chan.Band.Class() == spectrum.MidBand && c.Chan.Band.Range() == spectrum.FR1 && rs.RSRPdBm > -105 {
+func (e *Engine) pcellScore(c *Cell, rsrp float64) float64 {
+	score := rsrp
+	if c.Chan.Band.Class() == spectrum.MidBand && c.Chan.Band.Range() == spectrum.FR1 && rsrp > -105 {
 		score += e.Cfg.MidBandPreferenceDB
 	}
 	// mmWave anchors only with a strong beam (then it is strongly
 	// preferred, as operators steer capable UEs onto it); otherwise it
 	// is avoided entirely.
 	if e.isFR2(c) {
-		if rs.RSRPdBm > -95 {
+		if rsrp > -95 {
 			score += 2 * e.Cfg.MidBandPreferenceDB
 		} else {
 			score -= 60
@@ -495,15 +457,14 @@ func (e *Engine) emit(t EventType, c *Cell) {
 	e.eventBacklog = append(e.eventBacklog, Event{Type: t, Cell: c, At: e.now})
 }
 
-// measurement pairs a candidate cell with its measured radio state.
+// measurement pairs a candidate cell with its measured RSRP.
 type measurement struct {
 	cell *Cell
-	rs   phy.RadioState
+	rsrp float64
 }
 
 // evaluate runs one RRC measurement/decision round.
 func (e *Engine) evaluate(p mobility.Point, indoor bool) {
-	e.gen++ // the terms of earlier generations go stale
 	e.cands = e.Net.CandidateCells(e.cands[:0], p, e.Cfg.Tech)
 	e.ms = e.ms[:0]
 	for _, c := range e.cands {
@@ -518,16 +479,16 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 	bestScore := -1e18
 	for i := range ms {
 		m := &ms[i]
-		if m.rs.RSRPdBm < e.Cfg.PCellMinRSRP {
+		if m.rsrp < e.Cfg.PCellMinRSRP {
 			continue
 		}
-		if sc := e.pcellScore(m.cell, m.rs); sc > bestScore {
+		if sc := e.pcellScore(m.cell, m.rsrp); sc > bestScore {
 			best, bestScore = m, sc
 		}
 	}
 	if e.pcell != nil {
-		curRS := e.remeasure(e.pcell.Cell, p, indoor)
-		if curRS.RSRPdBm < e.Cfg.PCellMinRSRP-4 {
+		cur := e.measure(e.pcell.Cell, p, indoor)
+		if cur < e.Cfg.PCellMinRSRP-4 {
 			// Radio link failure: drop everything, reselect below once
 			// re-establishment completes.
 			e.emit(EvRadioLinkFailure, e.pcell.Cell)
@@ -542,9 +503,9 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 				e.reattaching = true
 			}
 		} else if best != nil && best.cell != e.pcell.Cell {
-			curScore := e.pcellScore(e.pcell.Cell, curRS)
+			curScore := e.pcellScore(e.pcell.Cell, cur)
 			hyst := e.Cfg.HandoverHysteresisDB
-			if best.cell.Site == e.pcell.Cell.Site && curRS.RSRPdBm > -110 {
+			if best.cell.Site == e.pcell.Cell.Site && cur > -110 {
 				// Reshuffling the PCell among co-sited carriers tears
 				// down the whole CA set for no coverage gain; require a
 				// far larger margin unless the current PCell degrades.
@@ -615,8 +576,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 	// Release weak SCells.
 	kept := e.scells[:0]
 	for _, s := range e.scells {
-		rs := e.remeasure(s.Cell, p, indoor)
-		if rs.RSRPdBm < e.Cfg.SCellRemoveRSRP {
+		if e.measure(s.Cell, p, indoor) < e.Cfg.SCellRemoveRSRP {
 			s.belowSince++
 		} else {
 			s.belowSince = 0
@@ -658,7 +618,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 		if m.cell.Site != e.pcell.Cell.Site || e.configured(m.cell) {
 			continue
 		}
-		if m.rs.RSRPdBm < e.Cfg.SCellAddRSRP {
+		if m.rsrp < e.Cfg.SCellAddRSRP {
 			continue
 		}
 		adds = append(adds, m)
@@ -672,7 +632,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 		if adds[i].cell.Chan.BandwidthMHz != adds[j].cell.Chan.BandwidthMHz {
 			return adds[i].cell.Chan.BandwidthMHz > adds[j].cell.Chan.BandwidthMHz
 		}
-		return adds[i].rs.RSRPdBm > adds[j].rs.RSRPdBm
+		return adds[i].rsrp > adds[j].rsrp
 	})
 	pcellFR2 := e.isFR2(e.pcell.Cell)
 	for _, a := range adds {
@@ -721,11 +681,9 @@ func (e *Engine) isFR2(c *Cell) bool {
 	return c.Chan.Band.Tech == spectrum.NR && c.Chan.Band.Range() == spectrum.FR2
 }
 
-// MeasureServing returns the current radio state of a serving CC from p.
-// It starts a term generation: loads and the UE may have moved since the
-// terms were last computed.
+// MeasureServing returns the current radio state of a serving CC from p,
+// its co-channel interference included.
 func (e *Engine) MeasureServing(s *ServingCC, p mobility.Point, indoor bool) phy.RadioState {
-	e.gen++
 	d := s.Cell.Pos.Dist(p)
 	return s.Link.Evaluate(d, indoor, e.coChannelINR(s.Cell, p, indoor))
 }

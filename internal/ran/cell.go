@@ -53,8 +53,6 @@ type Cell struct {
 	// interferers are the co-channel cells at other sites, in deployment
 	// order.
 	interferers []*Cell
-	// idx is the cell's position in Network.Cells.
-	idx int
 
 	// net is the network that deployed the cell: Load follows its load
 	// log. loadSteps counts the StepLoads calls the load process has
@@ -352,7 +350,6 @@ func NewNetwork(op spectrum.Operator, sc mobility.Scenario, src *rng.Source) *Ne
 				baseLoad: baseLoadFor(sc, ch),
 				id:       fmt.Sprintf("%s@%d#%d", ch.ID(), siteIdx, pci),
 				chanID:   ch.ID(),
-				idx:      len(n.Cells),
 				net:      n,
 			}
 			c.carrier = phy.NewCarrier(c.FreqGHz(), ch.SCSKHz)

@@ -431,6 +431,42 @@ func TestActiveCCsMatchesObservation(t *testing.T) {
 	}
 }
 
+// TestEngineStepReadsNoLoad drives OpX and OpZ urban engines over 4,000
+// 10 ms steps of a logged load process and fails if any cell applied a
+// logged step: the engine decides on RSRP alone and reads no load. A short
+// build's scout relies on it, and on Release detaching every cell, to leave
+// its network as deployed for the replay.
+func TestEngineStepReadsNoLoad(t *testing.T) {
+	for _, op := range []spectrum.Operator{spectrum.OpX, spectrum.OpZ} {
+		src := rng.New(61)
+		net := NewNetwork(op, mobility.Urban, src)
+		eng := NewEngine(net, NewUE(ModemX70), DefaultConfig(spectrum.NR), src)
+		mv := mobility.NewMover(mobility.Urban, mobility.Driving,
+			mobility.Point{X: mobility.Urban.ExtentM() / 2, Y: mobility.Urban.ExtentM() / 2}, src)
+		events, deepest := 0, 0
+		for i := 0; i < 4000; i++ {
+			moved := mv.Step(0.01)
+			net.StepLoads(1, 0.01)
+			events += len(eng.Step(mv.Pos(), moved, 0.01, false))
+			deepest = max(deepest, len(eng.Serving()))
+		}
+		if events == 0 || deepest < 2 {
+			t.Fatalf("%s: %d RRC events, at most %d serving CCs; the drive builds no CA", op, events, deepest)
+		}
+		for _, c := range net.Cells {
+			if c.loadSteps != 0 {
+				t.Fatalf("%s: cell %s applied %d of %d logged load steps", op, c.ID(), c.loadSteps, net.loadSteps)
+			}
+		}
+		eng.Release()
+		for _, c := range net.Cells {
+			if n := c.Attached(); n != 0 {
+				t.Fatalf("%s: cell %s has %d UEs attached after Release", op, c.ID(), n)
+			}
+		}
+	}
+}
+
 func TestEventStringAndTypes(t *testing.T) {
 	for _, et := range []EventType{EvSCellAdd, EvSCellRemove, EvSCellActivate, EvPCellSwitch, EvRadioLinkFailure} {
 		if et.String() == "" {

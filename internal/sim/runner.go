@@ -62,18 +62,12 @@ type evMark struct {
 // the root stream, reusing an external one costs none.
 func NewRunner(cfg RunConfig) *Runner {
 	cfg.defaults()
-	return newOwnRunner(cfg, cfg.steps())
-}
-
-// newOwnRunner is NewRunner for a normalized configuration, with storage
-// for keep samples.
-func newOwnRunner(cfg RunConfig, keep int) *Runner {
 	src := rng.New(cfg.Seed)
 	net := cfg.Net
 	if net == nil {
 		net = ran.NewNetwork(cfg.Operator, cfg.Scenario, src)
 	}
-	return newRunner(cfg, net, src, true, keep)
+	return newRunner(cfg, net, src, true, cfg.steps())
 }
 
 // NewPopRunner opens a run against a shared population grid. cfg.Net must
@@ -87,9 +81,16 @@ func NewPopRunner(cfg RunConfig) *Runner {
 		panic("sim: NewPopRunner requires cfg.Net")
 	}
 	cfg.defaults()
-	src := rng.New(cfg.Seed)
-	_ = src.Uint64() // mirror NewNetwork's Split draw
-	return newRunner(cfg, cfg.Net, src, false, cfg.steps())
+	return newRunner(cfg, cfg.Net, pastNetworkDraw(cfg.Seed), false, cfg.steps())
+}
+
+// pastNetworkDraw returns the root stream of the seed's run past the one
+// draw NewNetwork takes from it, for a run on a network it did not deploy:
+// the run's later draws are then those of a run deploying its own.
+func pastNetworkDraw(seed uint64) *rng.Source {
+	src := rng.New(seed)
+	_ = src.Uint64() // NewNetwork's Split
+	return src
 }
 
 // newRunner opens a run with storage for keep samples, the whole run's for

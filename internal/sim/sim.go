@@ -133,10 +133,10 @@ func Run(cfg RunConfig) (trace.Trace, RunStats) {
 }
 
 // replays reports whether runCut scouts and replays a normalized run
-// rather than cutting Run's trace: the run has no fault plan and its own
-// network, and the cut drops some of its samples.
+// rather than cutting Run's trace: the run has no fault plan, and the cut
+// drops some of its samples.
 func replays(cfg *RunConfig, n int) bool {
-	return cfg.Faults == nil && cfg.Net == nil && n > 0 && n < cfg.steps()
+	return cfg.Faults == nil && n > 0 && n < cfg.steps()
 }
 
 // endTraceBuild ends a run's sim.trace_build span with the run's samples,
@@ -151,24 +151,25 @@ func endTraceBuild(sp obs.Span, cfg RunConfig, samples, events, faults int) {
 }
 
 // runCut returns CutAroundTransition(Run(cfg), n) and the run's fault
-// report, with the same telemetry. A run with no fault plan and its own
-// network is simulated twice from its seed, and only the kept samples are
-// observed:
+// report, with the same telemetry, for a configuration of BuildConfigs. A
+// run with no fault plan is simulated twice from its seed on one network,
+// and only the kept samples are observed:
 //
-//   - the scout steps the UE, the load log and the engine, and records
-//     each step's active-CC count, the one thing the cut reads;
-//     cutSegment picks the segment from the counts;
-//   - the replay runs the scheduler's state phase up to the segment,
-//     keeping the slot table and the event marks, and records the
-//     segment's steps with RecordStep.
+//   - the scout steps the UE and the engine, and records each step's
+//     active-CC count, the one thing the cut reads; cutSegment picks the
+//     segment from the counts, and the scout releases its cells;
+//   - the replay opens on the scout's network, steps the load log, runs
+//     the scheduler's state phase up to the segment, keeping the slot
+//     table and the event marks, and records the segment's steps with
+//     RecordStep.
 //
-// This is exact because an observation changes nothing any later step
-// reads but the scheduler's own processes, which the state phase steps:
-// the loads it reads are caught up on the next read from each cell's own
-// stream, the links it reads were created by the evaluation that made the
-// cell a candidate, and the term generation it starts changes no value.
-// A fault plan rewrites samples over the whole trace, and a shared network
-// cannot be run twice, so those runs take Run and the cut.
+// This is exact because the engine step reads no load, so the scout
+// leaves the network as deployed, and because an observation changes
+// nothing any later step reads but the scheduler's own processes, which
+// the state phase steps: the loads it reads are caught up on the next read
+// from each cell's own stream, and the links it reads were created by the
+// evaluation that made the cell a candidate. A fault plan rewrites samples
+// over the whole trace, so those runs take Run and the cut.
 func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
 	cfg.defaults()
 	if !replays(&cfg, n) {
@@ -181,7 +182,9 @@ func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
 	if cfg.Direction == trace.DirectionUL {
 		ul = &cfg.UL
 	}
-	scout := newOwnRunner(cfg, 0)
+	src := rng.New(cfg.Seed)
+	net := ran.NewNetwork(cfg.Operator, cfg.Scenario, src)
+	scout := newRunner(cfg, net, src, false, 0)
 	scout.warmUp()
 	active := make([]int, steps)
 	events, changes := 0, 0
@@ -193,8 +196,9 @@ func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
 		}
 	}
 	start := cutSegment(active, n)
+	scout.eng.Release()
 
-	r := newOwnRunner(cfg, n)
+	r := newRunner(cfg, net, pastNetworkDraw(cfg.Seed), true, n)
 	r.warmUp()
 	r.BeginRecording()
 	for i := 0; i < start; i++ {
