@@ -24,11 +24,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 
 	"prism5g/internal/nn"
+	"prism5g/internal/par"
 	"prism5g/internal/predictors"
 	"prism5g/internal/rng"
 	"prism5g/internal/trace"
@@ -104,8 +106,14 @@ type Prism5G struct {
 	head   *nn.MLP   // Hidden -> Horizon, shared θ3
 	histT  int       // history length T, fixed by New (embed reads C*T)
 
-	pool    sync.Pool // *prismScratch
-	batches sync.Pool // *prismBatch
+	pool sync.Pool // *prismScratch
+
+	// ForwardBackwardBatch's predictions (Horizon values per window, and
+	// one view per window) and its gradient logs, which the scratch pool
+	// Predict draws from never holds.
+	ys   []float64
+	rows [][]float64
+	logs sync.Pool // *nn.GradLog
 }
 
 // New builds a Prism5G model with history length T (the embedding layer's
@@ -124,11 +132,7 @@ func New(opts Options, historyT int) *Prism5G {
 	h := opts.Hidden
 	p := &Prism5G{Opts: opts, histT: historyT}
 	p.pool.New = func() any { return &prismScratch{} }
-	p.batches.New = func() any {
-		b := &prismBatch{}
-		b.turn.L = &b.mu
-		return b
-	}
+	p.logs.New = func() any { return &nn.GradLog{} }
 	instances := 1
 	if !opts.SharedWeights {
 		instances = trace.MaxCC
@@ -356,146 +360,58 @@ func (p *Prism5G) ForwardBackward(w trace.Window, gScale float64) []float64 {
 	return p.forward(w, gScale, nil)
 }
 
-// chunkWindows is how many windows a ForwardBackwardBatch chunk holds, and
-// logsPerWorker how many chunks' gradient logs a batch keeps per worker.
-// A chunk's log holds its rows from claim to commit: at Hidden 32 a window
+// chunkWindows is how many windows a ForwardBackwardBatch chunk holds. A
+// chunk's log holds its rows from produce to commit: at Hidden 32 a window
 // logs about 62 KB with the LSTM backbone and 113 KB with the GRU, so a
-// log stays under 0.5 MB. With two logs per worker a worker whose chunk
-// waits for an earlier one to commit can start the next chunk, so a
-// worker on a slower or busier CPU holds the others up less. Chunks of 4
-// trained the server's bootstrap a little faster on two cores than chunks
-// of 8 or 16.
-const (
-	chunkWindows  = 4
-	logsPerWorker = 2
-)
-
-// prismBatch is ForwardBackwardBatch's scratch, pooled apart from the
-// serving scratch so that the pool Predict draws from holds no gradient
-// logs: the predictions, the chunks' gradient logs, and the state through
-// which workers claim chunks and commit them in order.
-type prismBatch struct {
-	ys   []float64    // predictions, Horizon values per window
-	rows [][]float64  // ys per window
-	logs []nn.GradLog // logsPerWorker per worker
-
-	// Under mu:
-	mu         sync.Mutex
-	turn       sync.Cond // signalled when a log frees up or a worker panics; L is &mu
-	next       int       // the next chunk to claim
-	free       []int     // the logs no chunk holds
-	done       []int     // per chunk, 1 + its log once run, until committed
-	committed  int       // chunks committed
-	committing bool      // a worker is committing
-	panicked   any       // a worker's recovered panic
-}
+// log stays under 0.5 MB. Chunks of 4 trained the server's bootstrap a
+// little faster on two cores than chunks of 8 or 16.
+const chunkWindows = 4
 
 // ForwardBackwardBatch implements predictors.BatchSeqModel. It runs the
-// windows in chunks of chunkWindows on GOMAXPROCS worker goroutines while
-// the caller waits; the predictions do not depend on the worker count.
-// Each worker claims the next chunk and a free log, and runs the chunk's
-// windows one by one, logging their parameter-gradient rows. The logs
-// then commit in chunk order, each by whichever worker is free to commit
-// when the chunks before it have. So every gradient element receives its
-// adds in window order, as from len(ws) successive ForwardBackward calls,
-// and the gradients are bit-identical at any worker count. A panic in a
-// worker stops the batch and is raised again on the caller's goroutine, as
-// if the windows had run there. The returned predictions are views into
-// model scratch, valid until the next call; not safe for concurrent use.
+// windows in chunks of chunkWindows through par.OrderedStream on
+// GOMAXPROCS workers while the caller waits; the predictions do not depend
+// on the worker count. Producing a chunk runs its windows one by one,
+// logging their parameter-gradient rows into a log of its own; consuming
+// it commits the log. OrderedStream consumes in chunk order, one at a
+// time, so every gradient element receives its adds in window order, as
+// from len(ws) successive ForwardBackward calls, and the gradients are
+// bit-identical at any worker count. A panic in a chunk stops the batch
+// and is raised again on the caller's goroutine, as if the windows had run
+// there. The returned predictions are views into model scratch, valid
+// until the next call; not safe for concurrent use.
 func (p *Prism5G) ForwardBackwardBatch(ws []trace.Window, gScale float64) [][]float64 {
 	if len(ws) == 0 {
 		return nil
 	}
-	b := p.batches.Get().(*prismBatch)
 	hz := p.Opts.Horizon
-	if cap(b.ys) < len(ws)*hz {
-		b.ys = make([]float64, len(ws)*hz)
+	if cap(p.ys) < len(ws)*hz {
+		p.ys = make([]float64, len(ws)*hz)
 	}
-	b.rows = b.rows[:0]
+	p.rows = p.rows[:0]
 	for i := range ws {
-		b.rows = append(b.rows, b.ys[i*hz:(i+1)*hz:(i+1)*hz])
+		p.rows = append(p.rows, p.ys[i*hz:(i+1)*hz:(i+1)*hz])
 	}
 	chunks := (len(ws) + chunkWindows - 1) / chunkWindows
-	workers := min(runtime.GOMAXPROCS(0), chunks)
-	for len(b.logs) < min(logsPerWorker*workers, chunks) {
-		b.logs = append(b.logs, nn.GradLog{})
-	}
-	b.free = b.free[:0]
-	for i := range b.logs {
-		b.free = append(b.free, i)
-	}
-	b.done = append(b.done[:0], make([]int, chunks)...)
-	b.next, b.committed = 0, 0
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		go func() {
-			defer wg.Done()
-			p.runChunks(b, ws, gScale)
-		}()
-	}
-	wg.Wait()
-	if b.panicked != nil {
-		panic(b.panicked) // b, with uncommitted rows in its logs, is dropped
-	}
-	rows := b.rows
-	p.batches.Put(b)
-	return rows
-}
-
-// runChunks is one ForwardBackwardBatch worker. Until every chunk is
-// claimed, it claims the next chunk and a free log, runs the chunk's
-// windows on one scratch into the log, and then, unless another worker is
-// committing, commits every run chunk whose predecessors have committed,
-// in chunk order, freeing their logs. It recovers a panic into b.panicked,
-// and stops claiming and committing once a worker has panicked.
-func (p *Prism5G) runChunks(b *prismBatch, ws []trace.Window, gScale float64) {
-	defer func() {
-		if r := recover(); r != nil {
-			b.mu.Lock()
-			if b.panicked == nil {
-				b.panicked = r
+	err := par.OrderedStream(context.Background(), chunks, runtime.GOMAXPROCS(0),
+		func(c int) (*nn.GradLog, error) {
+			s := p.pool.Get().(*prismScratch)
+			log := p.logs.Get().(*nn.GradLog)
+			for i := c * chunkWindows; i < min((c+1)*chunkWindows, len(ws)); i++ {
+				clear(p.rows[i])
+				p.pass(s, ws[i], gScale, p.rows[i], nil, log)
 			}
-			b.turn.Broadcast()
-			b.mu.Unlock()
-		}
-	}()
-	s := p.pool.Get().(*prismScratch)
-	defer p.pool.Put(s)
-	chunks := len(b.done)
-	b.mu.Lock()
-	for {
-		for len(b.free) == 0 && b.next < chunks && b.panicked == nil {
-			b.turn.Wait()
-		}
-		if b.next == chunks || b.panicked != nil {
-			break
-		}
-		c, l := b.next, b.free[len(b.free)-1]
-		b.next++
-		b.free = b.free[:len(b.free)-1]
-		b.mu.Unlock()
-		lo := c * chunkWindows
-		for i := lo; i < min(lo+chunkWindows, len(ws)); i++ {
-			clear(b.rows[i])
-			p.pass(s, ws[i], gScale, b.rows[i], nil, &b.logs[l])
-		}
-		b.mu.Lock()
-		b.done[c] = l + 1
-		for !b.committing && b.panicked == nil && b.committed < chunks && b.done[b.committed] != 0 {
-			l := b.done[b.committed] - 1
-			b.committing = true
-			b.mu.Unlock()
-			b.logs[l].Commit()
-			b.mu.Lock()
-			b.committing = false
-			b.done[b.committed] = 0
-			b.committed++
-			b.free = append(b.free, l)
-			b.turn.Broadcast()
-		}
+			p.pool.Put(s)
+			return log, nil
+		},
+		func(_ int, log *nn.GradLog) error {
+			log.Commit()
+			p.logs.Put(log)
+			return nil
+		})
+	if pe, ok := err.(*par.PanicError); ok {
+		panic(pe.Value) // the logs of chunks run but not committed are dropped
 	}
-	b.mu.Unlock()
+	return p.rows
 }
 
 // Train implements predictors.Predictor.

@@ -18,6 +18,13 @@
 //   - Context cancellation stops dispatching new tasks; tasks already
 //     running finish.
 //
+// OrderedStream is the streaming form: it hands each result to a consumer
+// in index order, one at a time, holding a bounded window of results. It
+// streams sim.BuildStream's traces, pop.Build's shards and grid.Run's
+// cells, and runs Prism5G's minibatch, whose chunks' gradient logs must
+// commit in window order. Its consume runs on whichever worker is free
+// while the caller waits.
+//
 // workers <= 0 selects runtime.NumCPU(); workers == 1 is the legacy serial
 // path (the tasks run inline on the calling goroutine).
 package par
@@ -228,18 +235,26 @@ func MustMap[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 }
 
 // OrderedStream runs produce(0..n-1) on at most workers goroutines and
-// feeds each result to consume on the calling goroutine, in strict task
-// index order, holding at most 2*workers results in flight. It is the
-// streaming counterpart of Map: same pool, same determinism contract
-// (consume sees exactly the serial sequence at any worker count), but
-// peak memory is bounded by the reorder window instead of n.
+// feeds each result to consume in strict task index order, one consume at
+// a time, holding at most 2*workers results in flight. It is the streaming
+// counterpart of Map: same pool, same determinism contract (consume sees
+// exactly the serial sequence at any worker count), but peak memory is
+// bounded by the reorder window instead of n.
+//
+// The caller only waits. Each worker claims the next index while fewer
+// than 2*workers are claimed and unconsumed, produces it, and then,
+// unless another worker is consuming, consumes every produced result whose
+// predecessors have been consumed. So whichever worker is free consumes,
+// and one slow result holds up the others only once the window is full.
+// With one worker everything runs inline on the caller.
 //
 // Error semantics: consume's first error stops the stream and is
 // returned; results already produced for later indices are discarded. A
 // produce error (or captured panic, surfaced as *PanicError) is returned
 // when the consumer reaches that index — earlier indices are still
 // consumed first, so the observed prefix matches the serial run. A
-// cancelled context stops the stream with ctx.Err().
+// cancelled context stops new claims and the stream returns ctx.Err(). A
+// panic in consume stops the stream and is raised again on the caller.
 func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i int) (T, error), consume func(i int, v T) error) error {
 	if n <= 0 {
 		return nil
@@ -269,76 +284,123 @@ func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i in
 		return nil
 	}
 
-	type slot struct {
-		v   T
-		err error
-	}
-	window := 2 * w
-	// ready[i%window] carries index i's result. Tickets bound the in-flight
-	// indices to the window, so claimed indices always span less than one
-	// window and each slot channel (capacity 1) has room for its send.
-	ready := make([]chan slot, window)
-	for i := range ready {
-		ready[i] = make(chan slot, 1)
-	}
-	tickets := make(chan struct{}, window)
-	for i := 0; i < window; i++ {
-		tickets <- struct{}{}
-	}
-	done := make(chan struct{})
-	var next atomic.Int64
+	s := &stream[T]{ctx: ctx, n: n, produce: produce, consume: consume, tele: tele, slots: make([]slot[T], 2*w)}
+	s.room.L = &s.mu
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tickets:
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					// Deliver the cancellation so the consumer never
-					// blocks on an index that was claimed but not run.
-					ready[i%window] <- slot{err: err}
-					continue
-				}
-				v, err := produceTask(i, produce, tele)
-				ready[i%window] <- slot{v: v, err: err}
-			}
+			s.work()
 		}()
 	}
-
-	var streamErr error
-	for i := 0; i < n; i++ {
-		var s slot
-		select {
-		case s = <-ready[i%window]:
-		case <-ctx.Done():
-			streamErr = ctx.Err()
-		}
-		if streamErr == nil && s.err != nil {
-			streamErr = s.err
-		}
-		if streamErr == nil {
-			streamErr = consume(i, s.v)
-		}
-		if streamErr != nil {
-			break
-		}
-		tickets <- struct{}{}
-	}
-	close(done)
 	wg.Wait()
-	if streamErr != nil {
-		return streamErr
+	if cp, ok := s.err.(consumePanic); ok {
+		panic(cp.value)
+	}
+	if s.err != nil {
+		return s.err
 	}
 	return ctx.Err()
+}
+
+// stream is the state OrderedStream's workers share.
+type stream[T any] struct {
+	ctx     context.Context
+	n       int
+	produce func(i int) (T, error)
+	consume func(i int, v T) error
+	tele    *poolTelemetry
+
+	// Under mu:
+	mu        sync.Mutex
+	room      sync.Cond // signalled when an index is consumed or the stream stops; L is &mu
+	slots     []slot[T] // index i's result at i % len(slots)
+	next      int       // the next index to claim
+	consumed  int       // indices consumed
+	consuming bool      // a worker is consuming
+	err       error     // set once, and the stream stops
+}
+
+// slot holds one produced result until it is consumed.
+type slot[T any] struct {
+	v    T
+	err  error
+	done bool
+}
+
+// consumePanic carries a panic recovered from consume until OrderedStream
+// raises it again on the caller.
+type consumePanic struct{ value any }
+
+func (c consumePanic) Error() string { return fmt.Sprintf("par: consume panicked: %v", c.value) }
+
+// work is one OrderedStream worker. Until every index is claimed or the
+// stream stops, it claims the next index once the window has room,
+// produces it, and then, unless another worker is consuming, consumes
+// every produced result whose predecessors have been consumed, in index
+// order.
+func (s *stream[T]) work() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for s.err == nil && s.next < s.n && s.next-s.consumed == len(s.slots) {
+			s.room.Wait()
+		}
+		if s.err != nil || s.next == s.n {
+			return
+		}
+		if err := s.ctx.Err(); err != nil {
+			s.stop(err)
+			return
+		}
+		i := s.next
+		s.next++
+		s.mu.Unlock()
+		v, err := produceTask(i, s.produce, s.tele)
+		s.mu.Lock()
+		s.slots[i%len(s.slots)] = slot[T]{v: v, err: err, done: true}
+		for !s.consuming && s.err == nil {
+			r := &s.slots[s.consumed%len(s.slots)]
+			if !r.done {
+				break
+			}
+			if r.err != nil {
+				s.stop(r.err)
+				break
+			}
+			i, v := s.consumed, r.v
+			*r = slot[T]{}
+			s.consuming = true
+			s.mu.Unlock()
+			err := consumeTask(i, v, s.consume)
+			s.mu.Lock()
+			s.consuming = false
+			s.consumed++
+			if err != nil {
+				s.stop(err)
+			}
+			s.room.Broadcast()
+		}
+	}
+}
+
+// stop ends the stream with err unless it has already ended; s.mu is held.
+func (s *stream[T]) stop(err error) {
+	if s.err == nil {
+		s.err = err
+		s.room.Broadcast()
+	}
+}
+
+// consumeTask invokes consume(i, v) converting a panic into a consumePanic.
+func consumeTask[T any](i int, v T, consume func(i int, v T) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = consumePanic{p}
+		}
+	}()
+	return consume(i, v)
 }
 
 // produceTask invokes produce(i) converting a panic into a *PanicError.

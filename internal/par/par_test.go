@@ -312,3 +312,56 @@ func TestEmptyAndSerialEdgeCases(t *testing.T) {
 		t.Fatalf("nil ctx: %v %v", out, err)
 	}
 }
+
+func TestOrderedStreamConsumesSerially(t *testing.T) {
+	const n = 100
+	for _, w := range []int{2, 4, 8} {
+		var inConsume, overlaps atomic.Int64
+		var got []int
+		err := OrderedStream(context.Background(), n, w,
+			func(i int) (int, error) { return i, nil },
+			func(i, v int) error {
+				if inConsume.Add(1) != 1 {
+					overlaps.Add(1)
+				}
+				defer inConsume.Add(-1)
+				time.Sleep(20 * time.Microsecond)
+				got = append(got, v)
+				return nil
+			})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if k := overlaps.Load(); k != 0 {
+			t.Fatalf("workers=%d: consume overlapped itself %d times", w, k)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: consumed %d of %d", w, len(got), n)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("workers=%d: consume saw %d at position %d", w, v, i)
+			}
+		}
+	}
+}
+
+func TestOrderedStreamConsumePanicReachesCaller(t *testing.T) {
+	for _, w := range []int{1, 4} {
+		func() {
+			defer func() {
+				if p := recover(); fmt.Sprint(p) != "consume boom" {
+					t.Fatalf("workers=%d: want the consume panic's value, got %v", w, p)
+				}
+			}()
+			OrderedStream(context.Background(), 20, w,
+				func(i int) (int, error) { return i, nil },
+				func(i, v int) error {
+					if i == 6 {
+						panic("consume boom")
+					}
+					return nil
+				})
+		}()
+	}
+}

@@ -83,33 +83,10 @@ type ServingCC struct {
 // Active reports whether the CC carries data at time t.
 func (s *ServingCC) Active(t float64) bool { return t >= s.ActiveAt }
 
-// Config tunes the CA engine. The zero value is not valid; use
-// DefaultConfig.
+// Config tunes the CA engine. Use DefaultConfig.
 type Config struct {
 	// Tech selects 4G or 5G operation.
 	Tech spectrum.Tech
-	// PCellMinRSRP is the accessibility threshold for PCell selection.
-	PCellMinRSRP float64
-	// HandoverHysteresisDB is the margin a neighbour must exceed.
-	HandoverHysteresisDB float64
-	// HandoverTTT is the consecutive evaluations (time-to-trigger).
-	HandoverTTT int
-	// SCellAddRSRP is the A4-style SCell addition threshold.
-	SCellAddRSRP float64
-	// SCellRemoveRSRP is the A2-style SCell release threshold.
-	SCellRemoveRSRP float64
-	// SCellRemoveTTT is the consecutive below-threshold evaluations
-	// before release.
-	SCellRemoveTTT int
-	// ActivationDelayS is the config-to-traffic SCell activation delay.
-	ActivationDelayS float64
-	// AddIntervalS is the minimum spacing between successive SCell adds.
-	AddIntervalS float64
-	// EvalIntervalS is the measurement/decision cadence.
-	EvalIntervalS float64
-	// MidBandPreferenceDB biases PCell choice toward capacity layers
-	// when their signal is adequate.
-	MidBandPreferenceDB float64
 	// ReestablishDelayS is the RRC re-establishment outage after a radio
 	// link failure: the UE stays disconnected for this long before it may
 	// reattach. Zero (the default) keeps the historical instant-reselect
@@ -119,20 +96,34 @@ type Config struct {
 
 // DefaultConfig returns the engine configuration used across the study.
 func DefaultConfig(tech spectrum.Tech) Config {
-	return Config{
-		Tech:                 tech,
-		PCellMinRSRP:         -118,
-		HandoverHysteresisDB: 9,
-		HandoverTTT:          12,
-		SCellAddRSRP:         -106,
-		SCellRemoveRSRP:      -116,
-		SCellRemoveTTT:       10,
-		ActivationDelayS:     0.15,
-		AddIntervalS:         1.6,
-		EvalIntervalS:        0.2,
-		MidBandPreferenceDB:  12,
-	}
+	return Config{Tech: tech}
 }
+
+// The RRC thresholds and timers of the study's CA engine.
+const (
+	// pcellMinRSRP is the accessibility threshold for PCell selection.
+	pcellMinRSRP = -118.0
+	// handoverHysteresisDB is the margin a neighbour must exceed.
+	handoverHysteresisDB = 9.0
+	// handoverTTT is the consecutive evaluations (time-to-trigger).
+	handoverTTT = 12
+	// scellAddRSRP is the A4-style SCell addition threshold.
+	scellAddRSRP = -106.0
+	// scellRemoveRSRP is the A2-style SCell release threshold.
+	scellRemoveRSRP = -116.0
+	// scellRemoveTTT is the consecutive below-threshold evaluations
+	// before release.
+	scellRemoveTTT = 10
+	// activationDelayS is the config-to-traffic SCell activation delay.
+	activationDelayS = 0.15
+	// addIntervalS is the minimum spacing between successive SCell adds.
+	addIntervalS = 1.6
+	// evalIntervalS is the measurement/decision cadence.
+	evalIntervalS = 0.2
+	// midBandPreferenceDB biases PCell choice toward capacity layers
+	// when their signal is adequate.
+	midBandPreferenceDB = 12.0
+)
 
 // Engine is the per-UE RRC carrier-aggregation state machine.
 type Engine struct {
@@ -382,14 +373,14 @@ func (e *Engine) coChannelINR(c *Cell, p mobility.Point, indoor bool) float64 {
 func (e *Engine) pcellScore(c *Cell, rsrp float64) float64 {
 	score := rsrp
 	if c.Chan.Band.Class() == spectrum.MidBand && c.Chan.Band.Range() == spectrum.FR1 && rsrp > -105 {
-		score += e.Cfg.MidBandPreferenceDB
+		score += midBandPreferenceDB
 	}
 	// mmWave anchors only with a strong beam (then it is strongly
 	// preferred, as operators steer capable UEs onto it); otherwise it
 	// is avoided entirely.
 	if e.isFR2(c) {
 		if rsrp > -95 {
-			score += 2 * e.Cfg.MidBandPreferenceDB
+			score += 2 * midBandPreferenceDB
 		} else {
 			score -= 60
 		}
@@ -438,7 +429,7 @@ func (e *Engine) Step(p mobility.Point, movedM, dt float64, indoor bool) []Event
 	for _, l := range e.linkList {
 		l.Move(movedM)
 	}
-	if e.sinceEval < e.Cfg.EvalIntervalS && e.connectedOnce {
+	if e.sinceEval < evalIntervalS && e.connectedOnce {
 		return e.drainEvents()
 	}
 	e.sinceEval = 0
@@ -479,7 +470,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 	bestScore := -1e18
 	for i := range ms {
 		m := &ms[i]
-		if m.rsrp < e.Cfg.PCellMinRSRP {
+		if m.rsrp < pcellMinRSRP {
 			continue
 		}
 		if sc := e.pcellScore(m.cell, m.rsrp); sc > bestScore {
@@ -488,7 +479,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 	}
 	if e.pcell != nil {
 		cur := e.measure(e.pcell.Cell, p, indoor)
-		if cur < e.Cfg.PCellMinRSRP-4 {
+		if cur < pcellMinRSRP-4 {
 			// Radio link failure: drop everything, reselect below once
 			// re-establishment completes.
 			e.emit(EvRadioLinkFailure, e.pcell.Cell)
@@ -504,7 +495,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 			}
 		} else if best != nil && best.cell != e.pcell.Cell {
 			curScore := e.pcellScore(e.pcell.Cell, cur)
-			hyst := e.Cfg.HandoverHysteresisDB
+			hyst := handoverHysteresisDB
 			if best.cell.Site == e.pcell.Cell.Site && cur > -110 {
 				// Reshuffling the PCell among co-sited carriers tears
 				// down the whole CA set for no coverage gain; require a
@@ -517,7 +508,7 @@ func (e *Engine) evaluate(p mobility.Point, indoor bool) {
 				} else {
 					e.hoCandidate, e.hoStreak = best.cell.PCI, 1
 				}
-				if e.hoStreak >= e.Cfg.HandoverTTT {
+				if e.hoStreak >= handoverTTT {
 					e.handoverTo(best.cell)
 					e.hoStreak = 0
 				}
@@ -576,12 +567,12 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 	// Release weak SCells.
 	kept := e.scells[:0]
 	for _, s := range e.scells {
-		if e.measure(s.Cell, p, indoor) < e.Cfg.SCellRemoveRSRP {
+		if e.measure(s.Cell, p, indoor) < scellRemoveRSRP {
 			s.belowSince++
 		} else {
 			s.belowSince = 0
 		}
-		if s.belowSince >= e.Cfg.SCellRemoveTTT {
+		if s.belowSince >= scellRemoveTTT {
 			e.emit(EvSCellRemove, s.Cell)
 			s.Cell.Detach()
 			continue
@@ -608,7 +599,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 	// Right after a handover the RRC reconfiguration sets up the whole
 	// CA set at once; otherwise SCells are added one per interval.
 	burst := e.now-e.lastHOAt < 1.0
-	if !burst && e.now-e.lastAddAt < e.Cfg.AddIntervalS {
+	if !burst && e.now-e.lastAddAt < addIntervalS {
 		return
 	}
 	// Candidate SCells: co-sited with the PCell (standard deployment),
@@ -618,7 +609,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 		if m.cell.Site != e.pcell.Cell.Site || e.configured(m.cell) {
 			continue
 		}
-		if m.rsrp < e.Cfg.SCellAddRSRP {
+		if m.rsrp < scellAddRSRP {
 			continue
 		}
 		adds = append(adds, m)
@@ -653,7 +644,7 @@ func (e *Engine) manageSCells(p mobility.Point, indoor bool) {
 		}
 		s := &ServingCC{
 			Cell: a.cell, Link: e.links[a.cell.PCI],
-			ConfiguredAt: e.now, ActiveAt: e.now + e.Cfg.ActivationDelayS,
+			ConfiguredAt: e.now, ActiveAt: e.now + activationDelayS,
 		}
 		e.scells = append(e.scells, s)
 		a.cell.Attach()

@@ -67,30 +67,28 @@ type Scheduler struct {
 	// constants for dt 0.
 	dt                  float64
 	fadeStep, shareStep ouStep
+}
 
-	// AggBWBudgetMHz is the aggregate bandwidth beyond which extra
+// NewScheduler creates a scheduler with the study's policy.
+func NewScheduler(src *rng.Source) *Scheduler {
+	return &Scheduler{src: src.Split()}
+}
+
+// The scheduler's policy.
+const (
+	// aggBWBudgetMHz is the aggregate bandwidth beyond which extra
 	// SCells get RB-throttled under load.
-	AggBWBudgetMHz float64
-	// SchedulingEfficiency models HARQ round-trips, control gaps and
+	aggBWBudgetMHz = 120.0
+	// schedulingEfficiency models HARQ round-trips, control gaps and
 	// imperfect link adaptation (multiplies goodput).
-	SchedulingEfficiency float64
-	// CAOverheadPerCC is the per-additional-CC goodput overhead of
+	schedulingEfficiency = 0.86
+	// caOverheadPerCC is the per-additional-CC goodput overhead of
 	// splitting one UE's traffic across carriers (MAC multiplexing,
 	// per-CC power sharing, transport-layer underfill). This is why the
 	// aggregate throughput is less than the sum of the standalone
 	// carriers (paper Fig 6 / §4.3).
-	CAOverheadPerCC float64
-}
-
-// NewScheduler creates a scheduler with the study's default policy knobs.
-func NewScheduler(src *rng.Source) *Scheduler {
-	return &Scheduler{
-		src:                  src.Split(),
-		AggBWBudgetMHz:       120,
-		SchedulingEfficiency: 0.86,
-		CAOverheadPerCC:      0.09,
-	}
-}
+	caOverheadPerCC = 0.09
+)
 
 // fadingTauS and shareTauS are the decorrelation time constants of the
 // fast-fading and scheduler-share processes; shareStd is the stationary
@@ -330,7 +328,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			// the cell is busy. mmWave carriers have their own radio
 			// and do not count against it.
 			cumBW += cell.Chan.BandwidthMHz
-			if !sc.IsPCell && cumBW > s.AggBWBudgetMHz {
+			if !sc.IsPCell && cumBW > aggBWBudgetMHz {
 				share *= 0.55 - 0.45*load
 			}
 		}
@@ -341,7 +339,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// it otherwise — while the aggregate stays below the sum of the
 		// standalone carriers (paper Fig 6).
 		if numCCs > 1 {
-			rate := s.CAOverheadPerCC
+			rate := caOverheadPerCC
 			floor := 0.72
 			if sc.IsPCell {
 				rate *= 0.4
@@ -390,7 +388,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			nRE := phy.NumRE(int(rb), phy.SymbolsPerSlot-1)
 			bitsPerSlot := phy.TBS(nRE, la.MCS, la.Layers)
 			slots := float64(phy.SlotsPerSecond(cell.Chan.SCSKHz)) * slotFrac
-			tput = float64(bitsPerSlot) * slots * (1 - la.BLER) * s.SchedulingEfficiency / 1e6
+			tput = float64(bitsPerSlot) * slots * (1 - la.BLER) * schedulingEfficiency / 1e6
 		}
 		obs := CCObservation{
 			CellID:    cell.ID(),
