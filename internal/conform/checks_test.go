@@ -63,8 +63,15 @@ func TestReportShape(t *testing.T) {
 		t.Errorf("report has %d checks, want %d", len(rep.Checks), len(Checks()))
 	}
 	if !rep.OK() {
-		for _, v := range rep.Violations() {
-			t.Error(v)
+		for _, g := range rep.Goldens {
+			for _, v := range g.Violations {
+				t.Error(v)
+			}
+		}
+		for _, c := range rep.Checks {
+			for _, v := range c.Violations {
+				t.Error(v)
+			}
 		}
 	}
 }

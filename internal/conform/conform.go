@@ -41,9 +41,6 @@ type Config struct {
 	Workers int
 }
 
-// DefaultConfig returns the configuration the committed fixtures assume.
-func DefaultConfig() Config { return Config{Seed: DefaultSeed} }
-
 // TestHooks deliberately corrupts the values the harness observes, so the
 // negative self-tests (and `prismconform -perturb`) can prove the suite is
 // able to fail. All hooks are inert at their zero values.
@@ -137,18 +134,6 @@ func (r *Report) OK() bool {
 		}
 	}
 	return true
-}
-
-// Violations flattens every failure in the report.
-func (r *Report) Violations() []Violation {
-	var out []Violation
-	for _, g := range r.Goldens {
-		out = append(out, g.Violations...)
-	}
-	for _, c := range r.Checks {
-		out = append(out, c.Violations...)
-	}
-	return out
 }
 
 // Ctx owns the expensive experiment artifacts a conformance run needs.

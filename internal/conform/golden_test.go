@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "regenerate the golden fixtures")
 
 // testCtx is shared across the package's tests so each expensive artifact
 // is simulated exactly once per `go test` invocation.
-var testCtx = NewCtx(DefaultConfig())
+var testCtx = NewCtx(Config{Seed: DefaultSeed})
 
 const goldenDir = "testdata/golden"
 

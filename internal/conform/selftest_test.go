@@ -15,7 +15,7 @@ func TestNegativeTBSPerturbation(t *testing.T) {
 	}
 	Hooks = TestHooks{TBSDelta: -123456}
 	defer func() { Hooks = TestHooks{} }()
-	ctx := NewCtx(DefaultConfig()) // fresh: testCtx has unperturbed memos
+	ctx := NewCtx(Config{Seed: DefaultSeed}) // fresh: testCtx has unperturbed memos
 	vs := checkTBSMonotone(ctx)
 	if len(vs) == 0 {
 		t.Error("tbs-monotone did not flag a perturbed TBS entry")
@@ -43,7 +43,7 @@ func TestNegativeCorrelationFlip(t *testing.T) {
 	}
 	Hooks = TestHooks{CorrFlip: true}
 	defer func() { Hooks = TestHooks{} }()
-	ctx := NewCtx(DefaultConfig())
+	ctx := NewCtx(Config{Seed: DefaultSeed})
 	if vs := checkCorrelationStructure(ctx); len(vs) == 0 {
 		t.Error("correlation-structure did not flag a flipped correlation sign")
 	}
@@ -60,7 +60,7 @@ func TestHooksAreInert(t *testing.T) {
 		t.Fatalf("hooks leaked into the package state: %+v", Hooks)
 	}
 	rows := testCtx.Fig9()
-	fresh := NewCtx(DefaultConfig()).Fig9()
+	fresh := NewCtx(Config{Seed: DefaultSeed}).Fig9()
 	if len(rows) != len(fresh) {
 		t.Fatalf("Fig9 row count changed: %d vs %d", len(rows), len(fresh))
 	}

@@ -49,10 +49,6 @@ type Options struct {
 	// UseFusion enables the fusion module; disabled in the NoFusion
 	// ablation.
 	UseFusion bool
-	// PerCCLossWeight weights the auxiliary per-carrier supervision
-	// (Fig 33/34 show Prism5G models each cell well; the auxiliary loss
-	// is what trains the per-CC heads to decompose the aggregate).
-	PerCCLossWeight float64
 	// Backbone selects the per-CC RNN: "lstm" (paper default; "" means
 	// the same) or "gru". The paper notes the RNN module is configurable.
 	Backbone string
@@ -64,17 +60,21 @@ type Options struct {
 	Train predictors.TrainOpts
 }
 
+// perCCLossWeight weights the auxiliary per-carrier supervision (Fig 33/34
+// show Prism5G models each cell well; the auxiliary loss is what trains
+// the per-CC heads to decompose the aggregate).
+const perCCLossWeight = 0.5
+
 // DefaultOptions mirrors the paper's setup at a tractable width.
 func DefaultOptions() Options {
 	return Options{
-		Hidden:          32,
-		Horizon:         10,
-		UseState:        true,
-		UseFusion:       true,
-		PerCCLossWeight: 0.5,
-		Backbone:        "lstm",
-		SharedWeights:   true,
-		Train:           predictors.DefaultTrainOpts(),
+		Hidden:        32,
+		Horizon:       10,
+		UseState:      true,
+		UseFusion:     true,
+		Backbone:      "lstm",
+		SharedWeights: true,
+		Train:         predictors.DefaultTrainOpts(),
 	}
 }
 
@@ -323,11 +323,9 @@ func (p *Prism5G) pass(s *prismScratch, w trace.Window, gScale float64, ypred []
 		for h := 0; h < p.Opts.Horizon; h++ {
 			gyc[h] = gAgg[h] * gScale
 		}
-		if p.Opts.PerCCLossWeight > 0 {
-			nn.MSEGradInto(gaux, ycs[c], w.YPerCC(c))
-			for h := range gyc {
-				gyc[h] += p.Opts.PerCCLossWeight * gScale * gaux[h] / float64(C)
-			}
+		nn.MSEGradInto(gaux, ycs[c], w.YPerCC(c))
+		for h := range gyc {
+			gyc[h] += perCCLossWeight * gScale * gaux[h] / float64(C)
 		}
 		ghp := p.head.Backward(&s.htapes[c], gyc, log)
 		copy(ghLast[c*H:(c+1)*H], ghp)

@@ -87,23 +87,31 @@ func TestPrismForwardShapeAndDeterminism(t *testing.T) {
 	}
 }
 
+// prismLoss is the loss whose gradient forward adds: the aggregate's mean
+// squared error plus the weighted per-carrier ones.
+func prismLoss(p *Prism5G, w trace.Window) float64 {
+	mse := func(pred, target []float64) float64 {
+		s := 0.0
+		for i := range pred {
+			d := pred[i] - target[i]
+			s += d * d
+		}
+		return s / float64(len(pred))
+	}
+	l := mse(p.forward(w, 0, nil), w.Y())
+	per := p.PredictPerCC(w)
+	aux := 0.0
+	for c := 0; c < trace.MaxCC; c++ {
+		aux += mse(per[c], w.YPerCC(c))
+	}
+	return l + perCCLossWeight*aux/trace.MaxCC
+}
+
 func TestPrismGradients(t *testing.T) {
 	// Full-model finite-difference gradient check on a single window.
 	p := New(smallOpts(), 10)
 	w := synthWindow(2)
-	loss := func() float64 {
-		y := p.forward(w, 0, nil)
-		l := nn.MSE(y, w.Y())
-		if p.Opts.PerCCLossWeight > 0 {
-			per := p.PredictPerCC(w)
-			aux := 0.0
-			for c := 0; c < trace.MaxCC; c++ {
-				aux += nn.MSE(per[c], w.YPerCC(c))
-			}
-			l += p.Opts.PerCCLossWeight * aux / trace.MaxCC
-		}
-		return l
-	}
+	loss := func() float64 { return prismLoss(p, w) }
 	nn.ZeroGrads(p)
 	p.forward(w, 1, nil)
 	const eps = 1e-5
@@ -298,12 +306,7 @@ func TestPrismGRUBackbone(t *testing.T) {
 		t.Fatalf("horizon = %d", len(y))
 	}
 	// The GRU variant must also pass the full-model gradient check.
-	loss := func() float64 {
-		yv := p.forward(w, 0, nil)
-		return nn.MSE(yv, w.Y())
-	}
-	save := p.Opts.PerCCLossWeight
-	p.Opts.PerCCLossWeight = 0
+	loss := func() float64 { return prismLoss(p, w) }
 	nn.ZeroGrads(p)
 	p.forward(w, 1, nil)
 	const eps = 1e-5
@@ -327,7 +330,6 @@ func TestPrismGRUBackbone(t *testing.T) {
 			}
 		}
 	}
-	p.Opts.PerCCLossWeight = save
 }
 
 func TestPrismUnsharedWeights(t *testing.T) {

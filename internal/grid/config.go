@@ -97,7 +97,7 @@ type Config struct {
 	// are byte-identical at any setting.
 	Workers int `json:"workers,omitempty"`
 	// ULGrantRatio tunes the asymmetric uplink schedule of ul-direction
-	// cells (0 = the ran.DefaultULConfig ratio).
+	// cells (0 = the default ratio, 0.35).
 	ULGrantRatio float64 `json:"ul_grant_ratio,omitempty"`
 	// ML sizes the learning protocol of prediction cells.
 	ML MLParams `json:"ml,omitempty"`

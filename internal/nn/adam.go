@@ -62,19 +62,6 @@ func (a *Adam) Step() {
 	}
 }
 
-// MSE returns the mean squared error between pred and target.
-func MSE(pred, target []float64) float64 {
-	if len(pred) != len(target) {
-		panic("nn: MSE length mismatch")
-	}
-	s := 0.0
-	for i := range pred {
-		d := pred[i] - target[i]
-		s += d * d
-	}
-	return s / float64(len(pred))
-}
-
 // MSEGradInto writes dMSE/dpred into a caller-owned buffer (len(pred)).
 func MSEGradInto(g, pred, target []float64) []float64 {
 	n := float64(len(pred))
@@ -83,6 +70,3 @@ func MSEGradInto(g, pred, target []float64) []float64 {
 	}
 	return g
 }
-
-// RMSE returns the root mean squared error.
-func RMSE(pred, target []float64) float64 { return math.Sqrt(MSE(pred, target)) }

@@ -234,11 +234,12 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 			g := NewGRU("gru", in, hid, src)
 			var tape GRUTape
 			return lanePasses{g, func(seq [][]float64, gLast []float64) []float64 {
-				hs := g.ForwardTape(&tape, seq)
-				last := append([]float64(nil), hs[T-1]...)
-				gh := make([][]float64, T)
-				gh[T-1] = gLast
-				g.Backward(&tape, gh, nil)
+				var x []float64
+				for _, row := range seq {
+					x = append(x, row...)
+				}
+				last := append([]float64(nil), g.ForwardBatch(&tape, x, 1, T)...)
+				g.BackwardBatch(&tape, gLast, nil)
 				return last
 			}, func(X, ghLast []float64) []float64 {
 				last := append([]float64(nil), g.ForwardBatch(&tape, X, bsz, T)...)

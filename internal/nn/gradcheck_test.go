@@ -133,22 +133,21 @@ func TestGradCheckMLP(t *testing.T) {
 	checkSliceGrads(t, "mlp.x", x, gx, loss)
 }
 
+// TestGradCheckGRU checks the GRU's parameter gradients from its lanes'
+// final hidden states, at one lane and at three.
 func TestGradCheckGRU(t *testing.T) {
-	src := rng.New(13)
-	g := NewGRU("gru", 3, 4, src)
-	seq := randSeq(src, 5, 3)
-	coef := randSeq(src, 5, 4)
-	loss := func() float64 {
-		hs, _ := g.Forward(seq)
-		return seqDot(coef, hs)
-	}
-	ZeroGrads(g)
-	_, tape := g.Forward(seq)
-	gxs := rowsOf(len(seq), g.In)
-	g.Backward(tape, coef, gxs)
-	checkParamGrads(t, g, loss)
-	for ti := range seq {
-		checkSliceGrads(t, "gru.x", seq[ti], gxs[ti], loss)
+	const in, hid, T = 3, 4, 5
+	for _, b := range []int{1, 3} {
+		src := rng.New(13)
+		g := NewGRU("gru", in, hid, src)
+		X := randVec(src, T*b*in)
+		coef := randVec(src, b*hid)
+		var tape GRUTape
+		loss := func() float64 { return dot(coef, g.ForwardBatch(&tape, X, b, T)) }
+		ZeroGrads(g)
+		g.ForwardBatch(&tape, X, b, T)
+		g.BackwardBatch(&tape, coef, nil)
+		checkParamGrads(t, g, loss)
 	}
 }
 

@@ -39,35 +39,19 @@ type GRUTape struct {
 	hPrev   []float64   // initial state (zeros)
 }
 
-// ForwardTape runs the GRU over one sequence seq from zero state as the
-// tape's one lane, as LSTM.ForwardTape does, and returns the hidden-state
-// sequence (a view into the tape, valid until its next use).
-func (g *GRU) ForwardTape(t *GRUTape, seq [][]float64) [][]float64 {
-	t.oneLane(seq)
-	g.forward(t)
-	return t.h
-}
-
 // ForwardBatch runs the GRU over b step-major sequences of length T from
 // zero state as the tape's b lanes, as LSTM.ForwardBatch does, and returns
 // the final hidden states as one flat b*H view (the zero state when T is
-// 0).
+// 0). It computes every lane's preactivations with the packed kernel
+// (kernel.go), bit-identical to the scalar loop. Wx and Wh are packed in
+// their z/r and n row blocks so that each element keeps its chain: for z
+// and r the bias, the Wx terms, then the Wh terms; for the candidate the
+// bias and the Wn terms, with Un·hPrev a separate sum from +0 that r
+// multiplies. The gate kernel (gate.go) matches Sigmoid and Tanh bit for
+// bit, so each lane's values are those of a one-lane pass.
 func (g *GRU) ForwardBatch(t *GRUTape, X []float64, b, T int) []float64 {
 	t.lanes(X, b, g.In, T)
-	return g.forward(t)
-}
-
-// forward is the one forward loop behind ForwardTape and ForwardBatch. It
-// computes every lane's preactivations with the packed kernel (kernel.go),
-// bit-identical to the scalar loop. Wx and Wh are packed in their z/r and
-// n row blocks so that each element keeps its chain: for z and r the bias,
-// the Wx terms, then the Wh terms; for the candidate the bias and the Wn
-// terms, with Un·hPrev a separate sum from +0 that r multiplies. The gate
-// kernel (gate.go) matches Sigmoid and Tanh bit for bit, so each lane's
-// values are those of a one-lane pass.
-func (g *GRU) forward(t *GRUTape) []float64 {
-	H, In, b := g.Hidden, g.In, t.b
-	T := t.T()
+	H, In := g.Hidden, g.In
 	wxZR := packNT(&t.ar, g.Wx.W[:2*H*In], 2*H, In)
 	wxN := packNT(&t.ar, g.Wx.W[2*H*In:], H, In)
 	whZR := packNT(&t.ar, g.Wh.W[:2*H*H], 2*H, H)
@@ -108,28 +92,18 @@ func (g *GRU) forward(t *GRUTape) []float64 {
 	return hPrev
 }
 
-// Backward runs BPTT through a one-lane tape and adds the parameter
-// gradients at once. gh holds dL/dh per step (len T; entries may be nil
-// meaning zero). gxs, when non-nil (T rows of In), receives the gradient
-// with respect to each step's input.
-func (g *GRU) Backward(t *GRUTape, gh, gxs [][]float64) {
-	g.bptt(t, 0, t.mark, gh, gxs, &t.log)
-	t.log.Commit()
-}
-
 // BackwardBatch backpropagates every lane of the tape from ghLast, the flat
 // b*H gradient into each lane's final hidden state, logging or adding the
 // parameter-gradient rows as LSTM.BackwardBatch does.
 func (g *GRU) BackwardBatch(t *GRUTape, ghLast []float64, log *GradLog) {
 	t.eachLane(ghLast, g.Hidden, log, func(s int, m Mark, gh [][]float64, log *GradLog) {
-		g.bptt(t, s, m, gh, nil, log)
+		g.bptt(t, s, m, gh, log)
 	})
 }
 
-// bptt is the one BPTT loop: it backpropagates lane s of the tape, drawing
-// its scratch from the arena at m. Each step's weight rows go to log (see
-// GradLog), and input gradients are computed only into a non-nil gxs.
-func (g *GRU) bptt(t *GRUTape, s int, m Mark, gh, gxs [][]float64, log *GradLog) {
+// bptt backpropagates lane s of the tape, drawing its scratch from the
+// arena at m. Each step's weight rows go to log (see GradLog).
+func (g *GRU) bptt(t *GRUTape, s int, m Mark, gh [][]float64, log *GradLog) {
 	H, In := g.Hidden, g.In
 	T := t.T()
 	lo, hi := s*H, (s+1)*H
@@ -173,10 +147,6 @@ func (g *GRU) bptt(t *GRUTape, s int, m Mark, gh, gxs [][]float64, log *GradLog)
 		x := t.xs[ti][s*In : (s+1)*In]
 		log.add(da, nil, g.B.Grad, weightRows{g.Wx.Grad, In, x})
 		log.add(dah, da, nil, weightRows{g.Wh.Grad, H, hPrev})
-		if gxs != nil {
-			clear(gxs[ti])
-			gradInput(gxs[ti], g.Wx.W, da, da, H, 3, In)
-		}
 		gradInput(dhNext, g.Wh.W, dah, da, H, 3, H)
 	}
 }

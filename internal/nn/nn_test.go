@@ -440,9 +440,6 @@ func TestMSE(t *testing.T) {
 	if v := MSE([]float64{0, 0}, []float64{3, 4}); v != 12.5 {
 		t.Fatalf("MSE = %f", v)
 	}
-	if v := RMSE([]float64{0}, []float64{2}); v != 2 {
-		t.Fatalf("RMSE = %f", v)
-	}
 	g := MSEGrad([]float64{1, 0}, []float64{0, 0})
 	if g[0] != 1 || g[1] != 0 {
 		t.Fatalf("grad = %v", g)
@@ -450,119 +447,77 @@ func TestMSE(t *testing.T) {
 }
 
 func TestGRUGradients(t *testing.T) {
-	src := rng.New(20)
-	g := NewGRU("gru", 3, 5, src)
-	seq := seqInput(src, 6, 3)
-	target := make([]float64, 5)
-	for i := range target {
-		target[i] = 0.2
-	}
-	forward := func() float64 {
-		hs, _ := g.Forward(seq)
-		return MSE(hs[len(hs)-1], target)
-	}
-	backward := func() {
-		hs, tape := g.Forward(seq)
-		gh := make([][]float64, len(hs))
-		gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-		g.Backward(tape, gh, nil)
-	}
-	checkGrads(t, g, forward, backward)
-}
-
-func TestGRUAllStepGradients(t *testing.T) {
-	src := rng.New(21)
-	g := NewGRU("gru", 2, 4, src)
-	seq := seqInput(src, 5, 2)
-	target := []float64{0.1, -0.2, 0.3, 0}
-	forward := func() float64 {
-		hs, _ := g.Forward(seq)
-		total := 0.0
-		for _, h := range hs {
-			total += MSE(h, target)
+	const in, hid, T = 3, 5, 6
+	for _, b := range []int{1, 3} {
+		src := rng.New(20)
+		g := NewGRU("gru", in, hid, src)
+		X := make([]float64, T*b*in)
+		for i := range X {
+			X[i] = src.NormMS(0, 1)
 		}
-		return total
-	}
-	backward := func() {
-		hs, tape := g.Forward(seq)
-		gh := make([][]float64, len(hs))
-		for i, h := range hs {
-			gh[i] = MSEGrad(h, target)
+		target := make([]float64, b*hid)
+		for i := range target {
+			target[i] = 0.2
 		}
-		g.Backward(tape, gh, nil)
-	}
-	checkGrads(t, g, forward, backward)
-}
-
-func TestGRUInputGradients(t *testing.T) {
-	src := rng.New(22)
-	g := NewGRU("gru", 2, 3, src)
-	seq := seqInput(src, 4, 2)
-	target := []float64{0.4, 0.4, 0.4}
-	hs, tape := g.Forward(seq)
-	gh := make([][]float64, len(hs))
-	gh[len(hs)-1] = MSEGrad(hs[len(hs)-1], target)
-	gxs := rowsOf(len(seq), g.In)
-	g.Backward(tape, gh, gxs)
-	const eps = 1e-5
-	for ti := range seq {
-		for fi := range seq[ti] {
-			orig := seq[ti][fi]
-			seq[ti][fi] = orig + eps
-			hsUp, _ := g.Forward(seq)
-			up := MSE(hsUp[len(hsUp)-1], target)
-			seq[ti][fi] = orig - eps
-			hsDown, _ := g.Forward(seq)
-			down := MSE(hsDown[len(hsDown)-1], target)
-			seq[ti][fi] = orig
-			want := (up - down) / (2 * eps)
-			if math.Abs(gxs[ti][fi]-want) > 1e-5 {
-				t.Fatalf("gx[%d][%d] = %f, want %f", ti, fi, gxs[ti][fi], want)
-			}
+		var tape GRUTape
+		forward := func() float64 {
+			return MSE(g.ForwardBatch(&tape, X, b, T), target)
 		}
+		backward := func() {
+			gh := MSEGrad(g.ForwardBatch(&tape, X, b, T), target)
+			g.BackwardBatch(&tape, gh, nil)
+		}
+		checkGrads(t, g, forward, backward)
 	}
 }
 
 func TestGRULearnsMeanTask(t *testing.T) {
-	src := rng.New(23)
-	g := NewGRU("gru", 1, 8, src)
-	head := NewDense("head", 8, 1, src)
-	opt := NewAdam(append(g.Params(), head.Params()...), 0.01)
-	lossAt := func() float64 {
-		var total float64
-		for rep := 0; rep < 20; rep++ {
-			s := rng.New(uint64(2000 + rep))
-			seq := make([][]float64, 4)
-			mean := 0.0
-			for t := range seq {
-				v := s.Range(0, 1)
-				seq[t] = []float64{v}
-				mean += v / 4
+	const T, hid = 4, 8
+	// draw fills X with b step-major sequences of T values in [0, 1) and
+	// returns each one's mean.
+	draw := func(src *rng.Source, X []float64, b int) []float64 {
+		means := make([]float64, b)
+		for ti := 0; ti < T; ti++ {
+			for s := 0; s < b; s++ {
+				v := src.Range(0, 1)
+				X[ti*b+s] = v
+				means[s] += v / T
 			}
-			hs, _ := g.Forward(seq)
-			total += MSE(head.Forward(hs[len(hs)-1]), []float64{mean})
 		}
-		return total / 20
+		return means
 	}
-	before := lossAt()
-	for iter := 0; iter < 400; iter++ {
-		seq := make([][]float64, 4)
-		mean := 0.0
-		for t := range seq {
-			v := src.Range(0, 1)
-			seq[t] = []float64{v}
-			mean += v / 4
+	for _, b := range []int{1, 3} {
+		src := rng.New(23)
+		g := NewGRU("gru", 1, hid, src)
+		head := NewDense("head", hid, 1, src)
+		opt := NewAdam(append(g.Params(), head.Params()...), 0.01)
+		var tape GRUTape
+		lossAt := func() float64 {
+			var total float64
+			X := make([]float64, T)
+			for rep := 0; rep < 20; rep++ {
+				mean := draw(rng.New(uint64(2000+rep)), X, 1)
+				total += MSE(head.Forward(g.ForwardBatch(&tape, X, 1, T)), mean)
+			}
+			return total / 20
 		}
-		hs, tape := g.Forward(seq)
-		y := head.Forward(hs[len(hs)-1])
-		gr := MSEGrad(y, []float64{mean})
-		gh := make([][]float64, len(hs))
-		gh[len(hs)-1] = head.Backward(hs[len(hs)-1], gr)
-		g.Backward(tape, gh, nil)
-		opt.Step()
-	}
-	after := lossAt()
-	if after > before*0.5 {
-		t.Fatalf("GRU did not learn: %f -> %f", before, after)
+		before := lossAt()
+		X := make([]float64, T*b)
+		gh := make([]float64, b*hid)
+		for iter := 0; iter < 400; iter++ {
+			means := draw(src, X, b)
+			hs := g.ForwardBatch(&tape, X, b, T)
+			for s := 0; s < b; s++ {
+				h := hs[s*hid : (s+1)*hid]
+				gr := MSEGrad(head.Forward(h), means[s:s+1])
+				copy(gh[s*hid:], head.Backward(h, gr))
+			}
+			g.BackwardBatch(&tape, gh, nil)
+			opt.Step()
+		}
+		after := lossAt()
+		if after > before*0.5 {
+			t.Fatalf("%d lanes: GRU did not learn: %f -> %f", b, before, after)
+		}
 	}
 }

@@ -16,13 +16,6 @@ func (l *LSTM) ForwardFrom(seq [][]float64, h0, c0 []float64) ([][]float64, *LST
 	return l.ForwardTape(t, seq, h0, c0), t
 }
 
-// Forward runs the GRU over seq from zero state, returning hidden states
-// and the tape.
-func (g *GRU) Forward(seq [][]float64) ([][]float64, *GRUTape) {
-	t := &GRUTape{}
-	return g.ForwardTape(t, seq), t
-}
-
 // Forward runs the TCN over seq [T][In] returning [T][Channels].
 func (t *TCN) Forward(seq [][]float64) ([][]float64, *TCNTape) {
 	tape := &TCNTape{}
@@ -53,13 +46,27 @@ func (d *Dense) Backward(x, gy []float64) []float64 {
 }
 
 // rowsOf returns T zeroed rows of n values, for the input gradients a
-// one-lane recurrent Backward writes.
+// one-lane LSTM Backward writes.
 func rowsOf(T, n int) [][]float64 {
 	rows := make([][]float64, T)
 	for t := range rows {
 		rows[t] = make([]float64, n)
 	}
 	return rows
+}
+
+// MSE returns the mean squared error between pred and target, the loss
+// whose gradient MSEGradInto writes.
+func MSE(pred, target []float64) float64 {
+	if len(pred) != len(target) {
+		panic("nn: MSE length mismatch")
+	}
+	s := 0.0
+	for i := range pred {
+		d := pred[i] - target[i]
+		s += d * d
+	}
+	return s / float64(len(pred))
 }
 
 // MSEGrad returns dMSE/dpred.

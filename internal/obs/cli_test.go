@@ -157,10 +157,10 @@ func TestCLISummarySubsystems(t *testing.T) {
 		t.Fatalf("quiet run must not mention population or sink: %q", s)
 	}
 	Add("pop.ues_built", 100)
-	Set("pop.ues_per_s", 50)
+	Default().Set("pop.ues_per_s", 50)
 	Add("sink.spill_traces", 3)
 	Add("sink.spill_bytes", 1<<20)
-	Observe("sink.emit_wait_s", 0.25)
+	Default().Observe("sink.emit_wait_s", 0.25)
 	s := cli.Summary()
 	if !strings.Contains(s, "population: 100 UEs") {
 		t.Errorf("summary missing population line: %q", s)

@@ -267,12 +267,6 @@ func Enabled() bool { return Default().Enabled() }
 // Add increments a counter on the default registry.
 func Add(name string, n int64) { Default().Add(name, n) }
 
-// Set sets a gauge on the default registry.
-func Set(name string, v float64) { Default().Set(name, v) }
-
-// Observe records a histogram observation on the default registry.
-func Observe(name string, v float64) { Default().Observe(name, v) }
-
 // ObserveEx records a histogram observation with an exemplar trace ID on
 // the default registry.
 func ObserveEx(name string, v float64, traceID string) { Default().ObserveEx(name, v, traceID) }

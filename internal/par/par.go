@@ -3,11 +3,12 @@
 // Every headline artifact of the reproduction — the Table 4 model grid, the
 // figure sweeps, dataset generation, the robustness severity rows — is
 // embarrassingly parallel: independent cells indexed 0..n-1 whose results
-// are assembled in index order. par.Map and par.ForEach run those cells on a
-// bounded worker pool while preserving the exact observable behaviour of the
-// serial loop:
+// are assembled in index order. OrderedStream runs those cells on a bounded
+// worker pool and hands each result to a consumer in index order, one at a
+// time, while preserving the exact observable behaviour of the serial
+// loop:
 //
-//   - Results are returned in task-index order, never completion order.
+//   - Results are consumed in task-index order, never completion order.
 //   - Tasks must not share mutable state; under that contract the output is
 //     byte-identical at any worker count (the determinism contract, see
 //     DESIGN.md "Deterministic parallelism").
@@ -15,15 +16,14 @@
 //     rather than crashing sibling workers.
 //   - When several tasks fail, the error of the lowest task index wins, so
 //     error reporting is deterministic too.
-//   - Context cancellation stops dispatching new tasks; tasks already
+//   - Context cancellation stops claiming new tasks; tasks already
 //     running finish.
 //
-// OrderedStream is the streaming form: it hands each result to a consumer
-// in index order, one at a time, holding a bounded window of results. It
-// streams sim.BuildStream's traces, pop.Build's shards and grid.Run's
-// cells, and runs Prism5G's minibatch, whose chunks' gradient logs must
-// commit in window order. Its consume runs on whichever worker is free
-// while the caller waits.
+// The stream holds a bounded window of results. It streams
+// sim.BuildStream's traces, pop.Build's shards and grid.Run's cells, and
+// runs Prism5G's minibatch, whose chunks' gradient logs must commit in
+// window order. Map and MustMap run on the same workers with room for all
+// n results and collect them into a slice.
 //
 // workers <= 0 selects runtime.NumCPU(); workers == 1 is the legacy serial
 // path (the tasks run inline on the calling goroutine).
@@ -66,9 +66,10 @@ func Workers(n int) int {
 // poolTelemetry carries per-pool observability state. A nil pointer (the
 // telemetry-disabled path, and the common case) makes every method a
 // no-op, so the worker loop stays free of clock reads unless a CLI asked
-// for metrics. Metric names: par.tasks / par.panics counters, par.task_s /
-// par.task_wait_s duration histograms and par.utilization (busy worker
-// time over wall time x workers, one observation per pool).
+// for metrics. Metric names: par.pools / par.tasks / par.panics counters,
+// par.task_s / par.task_wait_s duration histograms and par.utilization
+// (busy worker time over wall time x workers, one observation per pool).
+// A pool journals no event: Prism5G's training runs one per minibatch.
 type poolTelemetry struct {
 	r       *obs.Registry
 	workers int
@@ -114,104 +115,27 @@ func (t *poolTelemetry) taskPanicked() {
 
 // finish observes pool-level utilization: the fraction of worker capacity
 // that ran tasks. 1.0 means every worker was busy the whole time.
-func (t *poolTelemetry) finish(n int) {
+func (t *poolTelemetry) finish() {
 	if t == nil {
 		return
 	}
 	elapsed := time.Since(t.start).Seconds()
 	if elapsed > 0 && t.workers > 0 {
-		util := (time.Duration(t.busyNS.Load()).Seconds()) / (elapsed * float64(t.workers))
-		t.r.Observe("par.utilization", util)
-		t.r.Emit("par.pool", map[string]any{
-			"tasks": n, "workers": t.workers, "wall_s": elapsed, "utilization": util,
-		})
+		t.r.Observe("par.utilization", time.Duration(t.busyNS.Load()).Seconds()/(elapsed*float64(t.workers)))
 	}
 	t.r.Add("par.pools", 1)
 }
 
-// ForEach runs fn(0..n-1) on at most workers goroutines and waits for all
-// of them. It returns the error of the lowest failing task index, or
-// ctx.Err() if the context was cancelled before every task was dispatched.
-func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	tele := newPoolTelemetry(w)
-	defer tele.finish(n)
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := runTask(i, fn, tele); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if stopped.Load() || ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := runTask(i, fn, tele); err != nil {
-					errs[i] = err
-					stopped.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return ctx.Err()
-}
-
-// runTask invokes fn(i) converting a panic into a *PanicError.
-func runTask(i int, fn func(i int) error, tele *poolTelemetry) (err error) {
-	t0 := tele.taskStart()
-	defer func() {
-		if p := recover(); p != nil {
-			err = &PanicError{Task: i, Value: p, Stack: debug.Stack()}
-			tele.taskPanicked()
-		}
-		tele.taskEnd(t0)
-	}()
-	return fn(i)
-}
-
 // Map runs fn(0..n-1) on at most workers goroutines and returns the results
-// in task-index order. Error semantics match ForEach; on error the returned
-// slice holds the results of the tasks that completed.
+// in task-index order. It is OrderedStream with room for all n results, so
+// no slow task holds up the claiming of later ones. It returns the error
+// of the lowest failing task index, or ctx.Err() if the context was
+// cancelled first; tasks that can already be claimed may still run until
+// the failure is reached in index order, and the returned slice holds the
+// results of every index below it.
 func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := ForEach(ctx, n, workers, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
+	err := runStream(ctx, n, workers, true, fn, func(i int, v T) error {
 		out[i] = v
 		return nil
 	})
@@ -236,9 +160,8 @@ func MustMap[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 
 // OrderedStream runs produce(0..n-1) on at most workers goroutines and
 // feeds each result to consume in strict task index order, one consume at
-// a time, holding at most 2*workers results in flight. It is the streaming
-// counterpart of Map: same pool, same determinism contract (consume sees
-// exactly the serial sequence at any worker count), but peak memory is
+// a time, holding at most 2*workers results in flight, so consume sees
+// exactly the serial sequence at any worker count and peak memory is
 // bounded by the reorder window instead of n.
 //
 // The caller only waits. Each worker claims the next index while fewer
@@ -256,6 +179,12 @@ func MustMap[T any](ctx context.Context, n, workers int, fn func(i int) T) []T {
 // cancelled context stops new claims and the stream returns ctx.Err(). A
 // panic in consume stops the stream and is raised again on the caller.
 func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i int) (T, error), consume func(i int, v T) error) error {
+	return runStream(ctx, n, workers, false, produce, consume)
+}
+
+// runStream is the one worker pool behind OrderedStream and Map: its
+// window holds 2*w results, or all n when roomForAll is set.
+func runStream[T any](ctx context.Context, n, workers int, roomForAll bool, produce func(i int) (T, error), consume func(i int, v T) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -267,7 +196,7 @@ func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i in
 		w = n
 	}
 	tele := newPoolTelemetry(w)
-	defer tele.finish(n)
+	defer tele.finish()
 	if w == 1 {
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
@@ -284,7 +213,11 @@ func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i in
 		return nil
 	}
 
-	s := &stream[T]{ctx: ctx, n: n, produce: produce, consume: consume, tele: tele, slots: make([]slot[T], 2*w)}
+	window := 2 * w
+	if roomForAll {
+		window = n
+	}
+	s := &stream[T]{ctx: ctx, n: n, produce: produce, consume: consume, tele: tele, slots: make([]slot[T], window)}
 	s.room.L = &s.mu
 	var wg sync.WaitGroup
 	wg.Add(w)
@@ -304,7 +237,7 @@ func OrderedStream[T any](ctx context.Context, n, workers int, produce func(i in
 	return ctx.Err()
 }
 
-// stream is the state OrderedStream's workers share.
+// stream is the state runStream's workers share.
 type stream[T any] struct {
 	ctx     context.Context
 	n       int
@@ -329,13 +262,13 @@ type slot[T any] struct {
 	done bool
 }
 
-// consumePanic carries a panic recovered from consume until OrderedStream
+// consumePanic carries a panic recovered from consume until the stream
 // raises it again on the caller.
 type consumePanic struct{ value any }
 
 func (c consumePanic) Error() string { return fmt.Sprintf("par: consume panicked: %v", c.value) }
 
-// work is one OrderedStream worker. Until every index is claimed or the
+// work is one stream worker. Until every index is claimed or the
 // stream stops, it claims the next index once the window has room,
 // produces it, and then, unless another worker is consuming, consumes
 // every produced result whose predecessors have been consumed, in index

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"prism5g/internal/obs"
 )
 
 func TestMapOrderedAtAnyWorkerCount(t *testing.T) {
@@ -42,10 +45,12 @@ func TestWorkersResolution(t *testing.T) {
 	}
 }
 
+// TestForEachBoundsConcurrency requires Map, which runs a task for each
+// index, to run at most workers tasks at once.
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak atomic.Int64
-	err := ForEach(context.Background(), 64, workers, func(i int) error {
+	_, err := Map(context.Background(), 64, workers, func(i int) (int, error) {
 		cur := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -55,13 +60,64 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 			}
 		}
 		time.Sleep(time.Millisecond)
-		return nil
+		return i, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
 		t.Fatalf("observed %d concurrent tasks, cap is %d", p, workers)
+	}
+}
+
+// TestMapClaimsPastASlowTask requires Map's room for all n results: while
+// task 0 sleeps on one of two workers, the other must run every later
+// task, which a window of 2*workers results would hold back.
+func TestMapClaimsPastASlowTask(t *testing.T) {
+	var done atomic.Int64
+	var doneBefore0 int64
+	_, err := Map(context.Background(), 8, 2, func(i int) (int, error) {
+		if i == 0 {
+			time.Sleep(50 * time.Millisecond)
+			doneBefore0 = done.Load()
+		}
+		done.Add(1)
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if doneBefore0 != 7 {
+		t.Fatalf("%d of tasks 1-7 finished while task 0 ran, want all 7", doneBefore0)
+	}
+}
+
+// TestPoolsJournalNothing runs a stream and a Map with an enabled registry
+// and a journal: neither journals an event, while the pool and task
+// counters still count.
+func TestPoolsJournalNothing(t *testing.T) {
+	var journal bytes.Buffer
+	r := obs.New()
+	j := obs.NewJournal(&journal)
+	r.SetJournal(j)
+	defer obs.SetDefault(obs.SetDefault(r))
+	if err := OrderedStream(context.Background(), 6, 2,
+		func(i int) (int, error) { return i, nil },
+		func(i, v int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Map(context.Background(), 5, 2, func(i int) (int, error) { return i, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if journal.Len() != 0 {
+		t.Fatalf("pools journaled %q", journal.String())
+	}
+	snap := r.Snapshot()
+	if snap.Counters["par.pools"] != 2 || snap.Counters["par.tasks"] != 11 {
+		t.Fatalf("par.pools %d, par.tasks %d; want 2 and 11", snap.Counters["par.pools"], snap.Counters["par.tasks"])
 	}
 }
 
@@ -89,15 +145,15 @@ func TestLowestIndexErrorWins(t *testing.T) {
 	// Task 7 fails instantly; task 3 fails after a delay. The reported
 	// error must still be task 3's (the lowest failing index among tasks
 	// that ran).
-	err := ForEach(context.Background(), 8, 8, func(i int) error {
+	_, err := Map(context.Background(), 8, 8, func(i int) (int, error) {
 		switch i {
 		case 3:
 			time.Sleep(20 * time.Millisecond)
-			return sentinel3
+			return 0, sentinel3
 		case 7:
-			return sentinel7
+			return 0, sentinel7
 		}
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, sentinel3) {
 		t.Fatalf("want task 3's error, got %v", err)
@@ -107,12 +163,12 @@ func TestLowestIndexErrorWins(t *testing.T) {
 func TestContextCancellationStopsDispatch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := ForEach(ctx, 1000, 2, func(i int) error {
+	_, err := Map(ctx, 1000, 2, func(i int) (int, error) {
 		if ran.Add(1) == 4 {
 			cancel()
 		}
 		time.Sleep(time.Millisecond)
-		return nil
+		return i, nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -303,7 +359,7 @@ func TestOrderedStreamEmpty(t *testing.T) {
 }
 
 func TestEmptyAndSerialEdgeCases(t *testing.T) {
-	if err := ForEach(context.Background(), 0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if out, err := Map(context.Background(), 0, 4, func(int) (int, error) { return 0, errors.New("never") }); err != nil || len(out) != 0 {
 		t.Fatal("n=0 must be a no-op")
 	}
 	// nil context is treated as background.

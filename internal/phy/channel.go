@@ -29,7 +29,7 @@ type Carrier struct {
 	IndoorDB float64
 	// NoiseDBm is the thermal noise over one resource element.
 	NoiseDBm float64
-	// TxPerREdBm is the default per-RE transmit power.
+	// TxPerREdBm is the per-RE transmit power.
 	TxPerREdBm float64
 }
 
@@ -208,10 +208,6 @@ type Link struct {
 	dev *rng.OU
 	// pendingSteps accumulates fractional deviation-process steps.
 	pendingSteps float64
-	// txPerREdBm can override the default per-RE transmit power; zero
-	// means use Carrier.TxPerREdBm. The RAN lowers this for some SCells
-	// under CA (paper Fig 14).
-	txPerREdBm float64
 }
 
 // NewLink creates a carrier link bound to its site's and band's shared
@@ -223,18 +219,6 @@ func NewLink(src *rng.Source, fGHz float64, scsKHz int, site *SiteState, band *B
 		Band:    band,
 		dev:     rng.NewOU(src, 0, 0.1, 1.2*math.Sqrt(0.1*(2-0.1))),
 	}
-}
-
-// SetTxPowerPerRE overrides the per-RE transmit power in dBm (used by the
-// RAN power-allocation policy). A zero value restores the default.
-func (l *Link) SetTxPowerPerRE(dbm float64) { l.txPerREdBm = dbm }
-
-// TxPowerPerRE returns the effective per-RE transmit power in dBm.
-func (l *Link) TxPowerPerRE() float64 {
-	if l.txPerREdBm != 0 {
-		return l.txPerREdBm
-	}
-	return l.TxPerREdBm
 }
 
 // Move advances the per-carrier deviation; the shared site state is moved
@@ -267,7 +251,7 @@ func (l *Link) RSRP(dM float64, indoor bool) float64 {
 	if indoor {
 		pl += l.IndoorDB
 	}
-	rsrp := l.TxPowerPerRE() - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
+	rsrp := l.TxPerREdBm - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
 	if rsrp > -44 {
 		rsrp = -44 // RSRP report ceiling
 	}

@@ -311,20 +311,6 @@ func TestLinkMoveEvolvesShadowing(t *testing.T) {
 	}
 }
 
-func TestTxPowerOverride(t *testing.T) {
-	src := rng.New(15)
-	l := newTestLink(src, 2.5, 30, 100)
-	def := l.TxPowerPerRE()
-	l.SetTxPowerPerRE(def - 6)
-	if l.TxPowerPerRE() != def-6 {
-		t.Fatal("override not applied")
-	}
-	l.SetTxPowerPerRE(0)
-	if l.TxPowerPerRE() != def {
-		t.Fatal("override not cleared")
-	}
-}
-
 func TestCQIFromSINRMonotone(t *testing.T) {
 	prev := -1
 	for s := -10.0; s <= 40; s += 0.5 {

@@ -39,11 +39,7 @@ func refEvaluate(l *Link, dM float64, indoor bool, loadINR float64) RadioState {
 	if indoor {
 		pl += IndoorPenetrationDB(l.FreqGHz)
 	}
-	tx := TxPowerPerREdBm(l.FreqGHz)
-	if l.txPerREdBm != 0 {
-		tx = l.txPerREdBm
-	}
-	rsrp := tx - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
+	rsrp := TxPowerPerREdBm(l.FreqGHz) - pl + l.Site.Shadow() + l.Band.Value() + l.dev.Value()
 	if rsrp > -44 {
 		rsrp = -44
 	}
@@ -132,9 +128,6 @@ func TestLinkEvaluateMatchesReference(t *testing.T) {
 		for k := 0; k < 4; k++ {
 			l := newTestLink(src, fc[0], int(fc[1]), src.Range(1, 2000))
 			l.Site.LOS = k%2 == 0 // both path-loss branches
-			if k == 3 {
-				l.SetTxPowerPerRE(l.TxPowerPerRE() - 6)
-			}
 			for i, d := range dists {
 				for _, indoor := range []bool{false, true} {
 					inr := inrs[i%len(inrs)]

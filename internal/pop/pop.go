@@ -101,9 +101,6 @@ type Config struct {
 	// interval (0 = 60 s at 1 s, the long-granularity defaults).
 	DurationS float64
 	StepS     float64
-	// WarmupS matches sim.RunConfig.WarmupS: 0 means the 8 s default,
-	// negative disables warmup.
-	WarmupS float64
 	// Seed derives the whole campaign: grid, per-UE streams, faults.
 	Seed uint64
 	// Workers bounds the shard worker pool (0 = one per CPU).
@@ -127,9 +124,6 @@ func (c *Config) normalize() {
 	}
 	if c.StepS == 0 {
 		c.StepS = 1
-	}
-	if c.WarmupS == 0 {
-		c.WarmupS = 8
 	}
 }
 
@@ -168,7 +162,6 @@ func (c *Config) runConfig(i int, seed uint64, net *ran.Network) sim.RunConfig {
 		StepS:         c.StepS,
 		Seed:          seed,
 		TODMultiplier: 1,
-		WarmupS:       c.WarmupS,
 		Route:         i,
 		Run:           0,
 		Net:           net,
@@ -308,9 +301,10 @@ func buildShard(cfg *Config, si int, seeds []uint64, gridSeed uint64) shardResul
 
 	// Lock-step warmup: one shared load step per tick, then every UE in
 	// order. The loop form matches sim.Run's warmup exactly (same float
-	// accumulation, same iteration count).
+	// accumulation, same iteration count, the runs' default duration).
 	applyMeanField(net, outside, cfg.Rush.ActiveFraction(0), totRB)
-	for t := 0.0; t < cfg.WarmupS; t += sim.WarmupStepS {
+	warmupS := runners[0].Cfg().WarmupS
+	for t := 0.0; t < warmupS; t += sim.WarmupStepS {
 		net.StepLoads(1.0, sim.WarmupStepS)
 		for _, r := range runners {
 			r.WarmStep(sim.WarmupStepS)
@@ -377,11 +371,7 @@ func rbUtilization(c *ran.Cell, attached int) float64 {
 	load := c.Load()
 	util := load
 	if attached > 0 {
-		grant := 0.95 - 0.72*load
-		if grant < 0.08 {
-			grant = 0.08
-		}
-		util += grant
+		util += max(ran.BaseRBShare(load), ran.MinRBShare)
 	}
 	if util > 1 {
 		return 1

@@ -110,10 +110,6 @@ func (r *Resilient) PredictChecked(w trace.Window) (y []float64, intervened bool
 	return y, intervened
 }
 
-// Fallback exposes the harmonic-mean fallback so serving-side degradation
-// paths can answer from the exact same estimator the wrapper uses.
-func (r *Resilient) Fallback() Predictor { return r.fallback }
-
 // String summarizes the interventions.
 func (r *Resilient) String() string {
 	return fmt.Sprintf("resilient(%s): trainPanics=%d predictPanics=%d sanitized=%d demoted=%v",

@@ -395,11 +395,11 @@ func TestEngineDeterminism(t *testing.T) {
 
 // TestActiveCCsMatchesObservation pins ActiveCCs, which a short build's
 // scout reads in place of an observation, to the NumActiveCCs of Observe
-// and ObserveUL at every 10 ms step of two drives, with the uplink's
-// default carrier cap and a wider one.
+// and ObserveUL at every 10 ms step of two drives, some of them above the
+// uplink's carrier cap.
 func TestActiveCCsMatchesObservation(t *testing.T) {
-	// capped counts the steps with more active CCs than each cap.
-	capped := map[int]int{}
+	// capped counts the steps with more active CCs than the uplink cap.
+	capped := 0
 	for _, op := range []spectrum.Operator{spectrum.OpZ, spectrum.OpX} {
 		src := rng.New(61)
 		net := NewNetwork(op, mobility.Urban, src)
@@ -412,22 +412,20 @@ func TestActiveCCsMatchesObservation(t *testing.T) {
 			net.StepLoads(1, 0.01)
 			events := eng.Step(mv.Pos(), moved, 0.01, false)
 			dl := sched.Observe(eng, mv.Pos(), mobility.Driving, false, events, 0.01)
-			if got := ActiveCCs(eng, nil); got != dl.NumActiveCCs {
+			if got := ActiveCCs(eng, false); got != dl.NumActiveCCs {
 				t.Fatalf("%s step %d: ActiveCCs %d, Observe %d", op, i, got, dl.NumActiveCCs)
 			}
-			for _, ul := range []ULConfig{{}, {MaxCC: 3}} {
-				obs := sched.ObserveUL(eng, mv.Pos(), mobility.Driving, false, events, 0.01, ul)
-				if got := ActiveCCs(eng, &ul); got != obs.NumActiveCCs {
-					t.Fatalf("%s step %d: ActiveCCs %d, ObserveUL(%+v) %d", op, i, got, ul, obs.NumActiveCCs)
-				}
-				if c := ul.withDefaults().MaxCC; dl.NumActiveCCs > c {
-					capped[c]++
-				}
+			obs := sched.ObserveUL(eng, mv.Pos(), mobility.Driving, false, events, 0.01, ULConfig{})
+			if got := ActiveCCs(eng, true); got != obs.NumActiveCCs {
+				t.Fatalf("%s step %d: ActiveCCs %d, ObserveUL %d", op, i, got, obs.NumActiveCCs)
+			}
+			if dl.NumActiveCCs > ulMaxCC {
+				capped++
 			}
 		}
 	}
-	if capped[2] == 0 || capped[3] == 0 {
-		t.Fatalf("steps above the uplink caps 2 and 3: %d and %d, want some of each", capped[2], capped[3])
+	if capped == 0 {
+		t.Fatalf("no step above the uplink cap %d", ulMaxCC)
 	}
 }
 

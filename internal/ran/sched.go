@@ -88,7 +88,15 @@ const (
 	// aggregate throughput is less than the sum of the standalone
 	// carriers (paper Fig 6 / §4.3).
 	caOverheadPerCC = 0.09
+	// MinRBShare is the floor of the RB share a carrier grants a UE.
+	MinRBShare = 0.08
 )
+
+// BaseRBShare is the RB share a carrier at the given background load
+// grants a UE before the share jitter, CA throttling and the CA overhead:
+// 0.95 − 0.72·load. The scheduler and the population telemetry
+// (pop.cell_rb_util) both read it.
+func BaseRBShare(load float64) float64 { return 0.95 - 0.72*load }
 
 // fadingTauS and shareTauS are the decorrelation time constants of the
 // fast-fading and scheduler-share processes; shareStd is the stationary
@@ -174,49 +182,36 @@ func cqiLag(pat mobility.Mobility) float64 {
 // literature measures (Rahman et al.): operators aggregate far fewer
 // carriers on the uplink, TDD frames reserve most slots for downlink, and
 // the UE's transmit power budget — not the gNB's — bounds link adaptation.
+// Only the grant ratio is settable; the rest of the schedule is fixed
+// (ulMaxCC, ulPowerOffsetDB, ulMaxRank).
 type ULConfig struct {
 	// GrantRatio is the fraction of schedulable uplink opportunities the
 	// cell grants this UE, the monotone UL:DL asymmetry knob: granted UL
-	// RBs and UL goodput scale proportionally with it.
+	// RBs and UL goodput scale proportionally with it. Zero means
+	// defaultGrantRatio; a negative ratio grants nothing.
 	GrantRatio float64
-	// MaxCC bounds the carriers aggregated on the uplink (typically 2 vs
-	// 4 on the downlink).
-	MaxCC int
-	// PowerOffsetDB is the effective SINR deficit of the UE's transmit
+}
+
+const (
+	// defaultGrantRatio is the study's uplink grant ratio.
+	defaultGrantRatio = 0.35
+	// ulMaxCC bounds the carriers aggregated on the uplink (typically 2
+	// vs 4 on the downlink).
+	ulMaxCC = 2
+	// ulPowerOffsetDB is the effective SINR deficit of the UE's transmit
 	// chain against the downlink (class-3 UE vs macro gNB).
-	PowerOffsetDB float64
-	// MaxRank caps UL MIMO layers (UL-MIMO rarely exceeds 2).
-	MaxRank int
-}
+	ulPowerOffsetDB = -6
+	// ulMaxRank caps UL MIMO layers (UL-MIMO rarely exceeds 2).
+	ulMaxRank = 2
+)
 
-// DefaultULConfig returns the study's uplink schedule defaults.
-func DefaultULConfig() ULConfig {
-	return ULConfig{GrantRatio: 0.35, MaxCC: 2, PowerOffsetDB: -6, MaxRank: 2}
-}
-
-// withDefaults fills zero fields with the defaults, keeping GrantRatio as
-// given (a zero ratio is a legal "no UL grants" setting only when set
-// explicitly negative; zero means "default").
+// withDefaults resolves the grant ratio: defaultGrantRatio for zero,
+// clamped to [0, 1].
 func (u ULConfig) withDefaults() ULConfig {
-	d := DefaultULConfig()
 	if u.GrantRatio == 0 {
-		u.GrantRatio = d.GrantRatio
+		u.GrantRatio = defaultGrantRatio
 	}
-	if u.GrantRatio < 0 {
-		u.GrantRatio = 0
-	}
-	if u.GrantRatio > 1 {
-		u.GrantRatio = 1
-	}
-	if u.MaxCC <= 0 {
-		u.MaxCC = d.MaxCC
-	}
-	if u.PowerOffsetDB == 0 {
-		u.PowerOffsetDB = d.PowerOffsetDB
-	}
-	if u.MaxRank <= 0 {
-		u.MaxRank = d.MaxRank
-	}
+	u.GrantRatio = clamp(u.GrantRatio, 0, 1)
 	return u
 }
 
@@ -230,7 +225,7 @@ func (s *Scheduler) Observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 // ObserveUL is Observe for the uplink: the radio measurements, fading and
 // scheduler-share processes are drawn exactly as on the downlink (one rng
 // sequence per campaign, whichever direction is recorded), but goodput
-// follows the asymmetric UL schedule — at most ul.MaxCC carriers aggregate,
+// follows the asymmetric UL schedule — at most ulMaxCC carriers aggregate,
 // each granted GrantRatio of its schedulable UL opportunities, with link
 // adaptation run at the UE-power-limited SINR.
 func (s *Scheduler) ObserveUL(e *Engine, p mobility.Point, pat mobility.Mobility, indoor bool, events []Event, dt float64, ul ULConfig) Snapshot {
@@ -263,16 +258,16 @@ func (s *Scheduler) Advance(e *Engine, pat mobility.Mobility, dt float64) {
 
 // ActiveCCs returns the NumActiveCCs an observation of the engine's serving
 // set would report now, without measuring it: the CCs carrying data, at
-// most ul.MaxCC of them on the uplink (nil ul: the downlink).
-func ActiveCCs(e *Engine, ul *ULConfig) int {
+// most ulMaxCC of them on the uplink.
+func ActiveCCs(e *Engine, uplink bool) int {
 	n := 0
 	for _, sc := range e.serving {
 		if sc.Active(e.now) {
 			n++
 		}
 	}
-	if ul != nil {
-		n = min(n, ul.withDefaults().MaxCC)
+	if uplink {
+		n = min(n, ulMaxCC)
 	}
 	return n
 }
@@ -306,7 +301,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 		// PDSCH conditioning under CA (paper Fig 14): deep combos reduce
 		// SCell transmit power on FDD carriers, and the rank collapses to
 		// one layer whatever the SINR, while the SSB-derived RSRP/CQI stay
-		// put. Uplink: the UE-power-limited SINR, at most ul.MaxRank
+		// put. Uplink: the UE-power-limited SINR, at most ulMaxRank
 		// layers.
 		var la phy.LinkAdaptation
 		if ul == nil {
@@ -316,12 +311,12 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			}
 			la = phy.Adapt(reportedSINR, maxRank, lag)
 		} else {
-			la = phy.Adapt(reportedSINR+ul.PowerOffsetDB, min(cell.MaxRank, ul.MaxRank), lag)
+			la = phy.Adapt(reportedSINR+ulPowerOffsetDB, min(cell.MaxRank, ulMaxRank), lag)
 		}
 
 		// RB share: background load plus CA throttling (paper Fig 15).
 		load := cell.Load()
-		share := 0.95 - 0.72*load + draw.share
+		share := BaseRBShare(load) + draw.share
 		if !fr2 {
 			// The FR1 bandwidth budget: once the aggregate exceeds it,
 			// further SCells are deprioritized, increasingly so when
@@ -351,7 +346,7 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			}
 			share *= oh
 		}
-		share = clamp(share, 0.08, 1.0)
+		share = clamp(share, MinRBShare, 1.0)
 		// Multi-UE contention: the cell's scheduler round-robins its RBs
 		// across every attached UE — an equal split, the long-run
 		// proportional-fair average under symmetric demand. With a single
@@ -368,11 +363,11 @@ func (s *Scheduler) observe(e *Engine, p mobility.Point, pat mobility.Mobility, 
 			slotFrac = phy.TDDDownlinkFraction
 		}
 		if ul != nil {
-			// Uplink: at most MaxCC active carriers aggregate (UL CA is
-			// far shallower than DL CA), and the granted RBs scale with
-			// the grant ratio — the monotone UL:DL asymmetry knob.
+			// Uplink: at most ulMaxCC active carriers aggregate (UL CA
+			// is far shallower than DL CA), and the granted RBs scale
+			// with the grant ratio — the monotone UL:DL asymmetry knob.
 			if active {
-				if ulCCs >= ul.MaxCC {
+				if ulCCs >= ulMaxCC {
 					active = false
 				} else {
 					ulCCs++

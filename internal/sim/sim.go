@@ -71,7 +71,7 @@ type RunConfig struct {
 	// schedule of cfg.UL.
 	Direction string
 	// UL parameterizes the uplink schedule for Direction == DirectionUL
-	// runs; zero fields take ran.DefaultULConfig values.
+	// runs; a zero grant ratio takes the default.
 	UL ran.ULConfig
 }
 
@@ -178,10 +178,7 @@ func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
 	}
 	steps := cfg.steps()
 	sp := obs.StartSpan("sim.trace_build")
-	var ul *ran.ULConfig
-	if cfg.Direction == trace.DirectionUL {
-		ul = &cfg.UL
-	}
+	uplink := cfg.Direction == trace.DirectionUL
 	src := rng.New(cfg.Seed)
 	net := ran.NewNetwork(cfg.Operator, cfg.Scenario, src)
 	scout := newRunner(cfg, net, src, false, 0)
@@ -190,7 +187,7 @@ func runCut(cfg RunConfig, n int) (trace.Trace, faults.Report) {
 	events, changes := 0, 0
 	for i := range active {
 		events += len(scout.advance(cfg.StepS))
-		active[i] = ran.ActiveCCs(scout.eng, ul)
+		active[i] = ran.ActiveCCs(scout.eng, uplink)
 		if i > 0 && active[i] != active[i-1] {
 			changes++
 		}

@@ -41,8 +41,9 @@ func TestULGrantRatioMonotone(t *testing.T) {
 }
 
 // TestULFewerCCs pins the shallow UL CA: an uplink run never activates more
-// carriers than ULConfig.MaxCC even when the same campaign's downlink runs
-// deeper, and the uplink aggregate stays below the downlink one.
+// carriers than the uplink's cap of 2 even when the same campaign's
+// downlink runs deeper, and the uplink aggregate stays below the downlink
+// one.
 func TestULFewerCCs(t *testing.T) {
 	cfg := ulRunConfig(11, 0.35)
 	trUL, stUL := Run(cfg)

@@ -38,64 +38,6 @@ func (c Combo) AggregateBandwidthMHz() float64 {
 	return s
 }
 
-// NumCCs returns the number of component carriers.
-func (c Combo) NumCCs() int { return len(c) }
-
-// Kind classifies the combo per §2.1 of the paper.
-type ComboKind uint8
-
-const (
-	// SingleCarrier means no aggregation (one CC).
-	SingleCarrier ComboKind = iota
-	// IntraBandContiguous aggregates adjacent channels of one band.
-	IntraBandContiguous
-	// IntraBandNonContiguous aggregates separated channels of one band.
-	IntraBandNonContiguous
-	// InterBand aggregates channels from different bands.
-	InterBand
-)
-
-// String implements fmt.Stringer.
-func (k ComboKind) String() string {
-	switch k {
-	case SingleCarrier:
-		return "single-carrier"
-	case IntraBandContiguous:
-		return "intra-band-contiguous"
-	case IntraBandNonContiguous:
-		return "intra-band-non-contiguous"
-	default:
-		return "inter-band"
-	}
-}
-
-// Kind classifies the combo. Channels of one band are contiguous when each
-// adjacent pair (sorted by center frequency) touches within half the summed
-// bandwidths plus a small guard.
-func (c Combo) Kind() ComboKind {
-	if len(c) <= 1 {
-		return SingleCarrier
-	}
-	band := c[0].Band.Name
-	for _, ch := range c[1:] {
-		if ch.Band.Name != band {
-			return InterBand
-		}
-	}
-	// Same band: check contiguity.
-	sorted := make([]Channel, len(c))
-	copy(sorted, c)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].CenterMHz < sorted[j].CenterMHz })
-	for i := 1; i < len(sorted); i++ {
-		gap := sorted[i].CenterMHz - sorted[i-1].CenterMHz
-		touch := (sorted[i].BandwidthMHz+sorted[i-1].BandwidthMHz)/2 + 1 // 1 MHz guard
-		if gap > touch {
-			return IntraBandNonContiguous
-		}
-	}
-	return IntraBandContiguous
-}
-
 // ComboCensus accumulates observed combos, counting ordered combos and
 // unique channel sets separately — the "270/162"-style pairs in Table 2(b).
 type ComboCensus struct {

@@ -158,32 +158,6 @@ func mustByID(p Plan, id string) Channel {
 	panic("channel not in plan: " + id)
 }
 
-func TestComboKind(t *testing.T) {
-	z := PlanFor(OpZ)
-	intra := Combo{mustByID(z, "n41^a"), mustByID(z, "n41^b")}
-	if k := intra.Kind(); k != IntraBandContiguous && k != IntraBandNonContiguous {
-		t.Fatalf("intra-band kind = %s", k)
-	}
-	inter := Combo{mustByID(z, "n41^a"), mustByID(z, "n25^a")}
-	if inter.Kind() != InterBand {
-		t.Fatalf("inter kind = %s", inter.Kind())
-	}
-	single := Combo{mustByID(z, "n41^a")}
-	if single.Kind() != SingleCarrier {
-		t.Fatalf("single kind = %s", single.Kind())
-	}
-	// Contiguity: two adjacent channels vs far-separated ones.
-	a := MustChannel("n41", "a", 40, 0)
-	b := MustChannel("n41", "b", 40, 40)
-	far := MustChannel("n41", "c", 40, 200)
-	if (Combo{a, b}).Kind() != IntraBandContiguous {
-		t.Error("adjacent channels should be contiguous")
-	}
-	if (Combo{a, far}).Kind() != IntraBandNonContiguous {
-		t.Error("separated channels should be non-contiguous")
-	}
-}
-
 func TestComboKeys(t *testing.T) {
 	z := PlanFor(OpZ)
 	c1 := Combo{mustByID(z, "n41^a"), mustByID(z, "n25^a")}
@@ -228,11 +202,6 @@ func TestStringers(t *testing.T) {
 	}
 	if LowBand.String() != "low" || MidBand.String() != "mid" || HighBand.String() != "high" {
 		t.Error("class strings")
-	}
-	for _, k := range []ComboKind{SingleCarrier, IntraBandContiguous, IntraBandNonContiguous, InterBand} {
-		if k.String() == "" {
-			t.Error("empty combo kind string")
-		}
 	}
 }
 

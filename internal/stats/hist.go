@@ -36,9 +36,6 @@ func (h *Histogram) Add(x float64) {
 	h.total++
 }
 
-// Total returns the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
 // BinCenter returns the center value of bin i.
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))

@@ -39,43 +39,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(Variance(xs))
 }
 
-// Min returns the minimum of xs, or NaN for empty input.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs, or NaN for empty input.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // RMSE returns the root-mean-square error between predictions and targets.
 // It panics if the lengths differ and returns NaN for empty input.
 func RMSE(pred, truth []float64) float64 {
@@ -165,9 +128,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 0.5 quantile of xs.
-func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
-
 // HarmonicMean returns the harmonic mean of xs, ignoring non-positive
 // entries. It returns 0 if no positive entries exist. This is the estimator
 // used by the MPC ABR baseline.
@@ -191,30 +151,15 @@ type Welford struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
 }
-
-// N returns the number of observations.
-func (w *Welford) N() int { return w.n }
 
 // Mean returns the running mean (NaN if empty).
 func (w *Welford) Mean() float64 {
@@ -234,19 +179,3 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the minimum observation (NaN if empty).
-func (w *Welford) Min() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.min
-}
-
-// Max returns the maximum observation (NaN if empty).
-func (w *Welford) Max() float64 {
-	if w.n == 0 {
-		return math.NaN()
-	}
-	return w.max
-}

@@ -25,8 +25,6 @@ func TestEmptyInputsAreNaN(t *testing.T) {
 	for name, v := range map[string]float64{
 		"mean":     Mean(nil),
 		"variance": Variance(nil),
-		"min":      Min(nil),
-		"max":      Max(nil),
 		"quantile": Quantile(nil, 0.5),
 		"rmse":     RMSE(nil, nil),
 		"pearson":  Pearson(nil, nil),
@@ -156,23 +154,17 @@ func TestWelfordMatchesBatch(t *testing.T) {
 	for _, x := range xs {
 		w.Add(x)
 	}
-	if w.N() != len(xs) {
-		t.Fatalf("N = %d", w.N())
-	}
 	if !almost(w.Mean(), Mean(xs), 1e-9) {
 		t.Fatalf("mean %f vs %f", w.Mean(), Mean(xs))
 	}
 	if !almost(w.Variance(), Variance(xs), 1e-9) {
 		t.Fatalf("var %f vs %f", w.Variance(), Variance(xs))
 	}
-	if w.Min() != 4 || w.Max() != 42 {
-		t.Fatalf("min/max %f/%f", w.Min(), w.Max())
-	}
 }
 
 func TestWelfordEmpty(t *testing.T) {
 	var w Welford
-	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) || !math.IsNaN(w.Min()) || !math.IsNaN(w.Max()) {
+	if !math.IsNaN(w.Mean()) || !math.IsNaN(w.Variance()) {
 		t.Fatal("empty Welford should be NaN")
 	}
 }
@@ -184,8 +176,12 @@ func TestHistogramBinningAndClamp(t *testing.T) {
 	h.Add(-5)   // clamp to 0
 	h.Add(100)  // clamp to 9
 	h.Add(5.01) // bin 5
-	if h.Total() != 5 {
-		t.Fatalf("total = %d", h.Total())
+	total := 0
+	for _, c := range h.Counts {
+		total += c
+	}
+	if total != 5 {
+		t.Fatalf("total = %d", total)
 	}
 	if h.Counts[0] != 2 || h.Counts[9] != 2 || h.Counts[5] != 1 {
 		t.Fatalf("counts = %v", h.Counts)
@@ -234,12 +230,5 @@ func TestViolinSummary(t *testing.T) {
 	}
 	if v.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if Min(xs) != -1 || Max(xs) != 5 || Sum(xs) != 12 {
-		t.Fatalf("min/max/sum = %f/%f/%f", Min(xs), Max(xs), Sum(xs))
 	}
 }
