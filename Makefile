@@ -47,7 +47,7 @@ alloc-gate:
 # valid OpenMetrics /metrics with trace-ID exemplars, and its journal
 # must answer prismobs blame/slo.
 obs-smoke:
-	$(GO) run ./cmd/prismeval -quick -runtime -metrics obs_metrics.json -journal obs_journal.jsonl
+	$(GO) run ./cmd/prismeval -quick -only runtime -metrics obs_metrics.json -journal obs_journal.jsonl
 	./scripts/obssmoke.sh obs_metrics.json
 
 # End-to-end serving smoke: prismserve under a deliberately undersized
@@ -58,8 +58,8 @@ serve-smoke:
 	./scripts/servesmoke.sh
 
 # Population-mode smoke: a jsonl-spilled build must emit one trace per
-# UE, be byte-identical at any worker count, and the prismeval
-# -population streaming pipeline must run end to end.
+# UE, be byte-identical at any worker count, and prismeval's population
+# entry (the streaming pipeline) must run end to end.
 pop-smoke:
 	./scripts/popsmoke.sh
 

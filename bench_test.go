@@ -1,17 +1,21 @@
-// Benchmark harness, part 1: the measurement tables and figures. Every
-// bench regenerates its table/figure rows (printed once per run) so the
-// full suite doubles as the reproduction harness:
+// Benchmark harness: BenchmarkPaper renders every paper table and figure
+// of experiments.Artifacts as a sub-benchmark named after the entry, and
+// prints each entry's rows once under a "--- <title> ---" header, so the
+// suite doubles as the reproduction harness:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkPaper -benchtime 1x .
+//	go test -run '^$' -bench 'BenchmarkPaper/fig6$' -benchtime 1x .
 //
-// Benches default to reduced-but-faithful configurations; set the
-// environment variable PRISM5G_PAPER=1 to run the learning benches at the
-// paper's full dataset scale (much slower). The ML and QoE benches live in
-// experiments_bench_test.go.
+// The learning and QoE entries train at QuickMLConfig(42); set the
+// environment variable PRISM5G_PAPER=1 to train them at PaperMLConfig(42)
+// (tens of minutes per entry). The measurement entries and Fig 8 keep
+// their own seeds at either scale.
 package prism5g_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -31,232 +35,21 @@ func printRows(key, text string) {
 	}
 }
 
-func BenchmarkFig1_IdealThroughputByCC(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, op := range spectrum.AllOperators() {
-			for _, tech := range []spectrum.Tech{spectrum.LTE, spectrum.NR} {
-				for _, r := range experiments.Fig1IdealThroughputByCC(op, tech, 42) {
-					out += fmt.Sprintf("%-4s %-3s %dCC %-42s BW=%3.0fMHz mean=%5.0f peak=%5.0f\n",
-						r.Operator, r.Tech, r.NumCCs, r.Combo, r.AggBWMHz, r.MeanMbps, r.PeakMbps)
+func BenchmarkPaper(b *testing.B) {
+	cfg := experiments.QuickMLConfig(42)
+	if os.Getenv("PRISM5G_PAPER") == "1" {
+		cfg = experiments.PaperMLConfig(42)
+	}
+	for _, a := range experiments.Artifacts() {
+		b.Run(a.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var out strings.Builder
+				if err := a.Run(&out, cfg); err != nil {
+					b.Fatal(err)
 				}
+				printRows(a.Title, out.String())
 			}
-		}
-		printRows("Fig 1/23: ideal throughput by CC count", out)
-	}
-}
-
-func BenchmarkFig2_ThroughputMultimodality(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, tech := range []spectrum.Tech{spectrum.LTE, spectrum.NR} {
-			r := experiments.Fig2Multimodality(spectrum.OpZ, tech, 7)
-			out += fmt.Sprintf("%s driving: mean=%.0f std=%.0f peak=%.0f modes=%.0f\n",
-				r.Tech, r.Mean, r.Std, r.PeakMbps, r.Modes)
-		}
-		printRows("Fig 2/24: throughput multimodality", out)
-	}
-}
-
-func BenchmarkTable1_CampaignStats(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, op := range spectrum.AllOperators() {
-			r := experiments.Table2ChannelCensus(op, 42)
-			out += fmt.Sprintf("%s: %.0f km / %.0f min, 4G %d ch %d/%d combos, 5G %d ch %d/%d combos\n",
-				r.Operator, r.DistanceKM, r.DurationMin,
-				r.Channels4G, r.Ordered4G, r.Unique4G,
-				r.Channels5G, r.Ordered5G, r.Unique5G)
-		}
-		printRows("Table 1: campaign statistics", out)
-	}
-}
-
-func BenchmarkTable2_ChannelsAndCombos(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, op := range spectrum.AllOperators() {
-			r := experiments.Table2ChannelCensus(op, 43)
-			out += fmt.Sprintf("%s: 5G up to %d CCs, max agg BW %.0f MHz, top combos %v\n",
-				r.Operator, r.Max5GCCs, r.MaxAggBW5GMHz, r.TopCombos5G)
-		}
-		printRows("Table 2(b)/7: CA combinations", out)
-	}
-}
-
-func BenchmarkFig4_UrbanCAMap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cells := experiments.Fig4UrbanCAMap(spectrum.OpZ, 13)
-		out := fmt.Sprintf("%d grid cells covered; sample row:\n", len(cells))
-		for j, c := range cells {
-			if j >= 8 {
-				break
-			}
-			out += fmt.Sprintf("  (%d,%d) meanCCs=%.1f n=%d\n", c.X, c.Y, c.MeanCCs, c.Samples)
-		}
-		printRows("Fig 4: urban CA map", out)
-	}
-}
-
-func BenchmarkFig5_ComboViolins(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig5ComboViolins(15) {
-			out += fmt.Sprintf("%-4s %-32s BW=%3.0fMHz %s\n", r.Operator, r.Combo, r.AggBWMHz, r.Summary)
-		}
-		printRows("Fig 5: CA combo throughput distributions", out)
-	}
-}
-
-func BenchmarkFig6_AggregateVsSum(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig6AggregateVsSum(17)
-		printRows("Fig 6: aggregate vs sum of parts", fmt.Sprintf(
-			"n41 alone %.0f + n25 alone %.0f = %.0f theoretical; aggregate %.0f (mean deficit %.1f%%, max %.1f%%)\n",
-			r.AloneA, r.AloneB, r.TheoreticalSum, r.Aggregate, r.MeanDeficitPct, r.MaxDeficitPct))
-	}
-}
-
-func BenchmarkFig7_TransitionTrace(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig7TransitionTrace(19)
-		printRows("Fig 7: CC transitions while driving", fmt.Sprintf(
-			"120 s drive: %d CC changes, %d RRC events, max 1 s throughput swing %.1fx\n",
-			r.CCChanges, len(r.Events), r.MaxStepRatio))
-	}
-}
-
-func BenchmarkFig9_TBSMapping(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig9TBSMapping()
-		out := ""
-		for _, r := range rows {
-			if r.Symbols == 13 {
-				out += fmt.Sprintf("MCS %2d, 13 symbols: TBS %d bits\n", r.MCS, r.TBSBits)
-			}
-		}
-		printRows("Fig 9: TBS vs MCS mapping", out)
-	}
-}
-
-func BenchmarkFig10_SpectralEfficiency(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig10SpectralEfficiency() {
-			out += fmt.Sprintf("%-26s %6.0f Mbps over %3.0f MHz = %5.2f bits/s/Hz\n",
-				r.Channel, r.CapMbps, r.BWMHz, r.BitsPerHz)
-		}
-		printRows("Fig 10: spectral efficiency", out)
-	}
-}
-
-func BenchmarkFig11to13_RSRPCorrelations(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig11to13Correlations(21) {
-			out += fmt.Sprintf("%-5s %-14s own:%.2f/%.2f cross:%.2f/%.2f rsrp-rsrp:%.2f\n",
-				r.Kind, r.Combo,
-				r.PCellRSRPvsPCellTput, r.SCellRSRPvsSCellTput,
-				r.PCellRSRPvsSCellTput, r.SCellRSRPvsPCellTput,
-				r.PCellRSRPvsSCellRSRP)
-		}
-		printRows("Figs 11-13: intra vs inter-band correlations", out)
-	}
-}
-
-func BenchmarkFig14_MIMOReductionUnderCA(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig14MIMOReduction(23) {
-			out += fmt.Sprintf("%-18s RSRP=%.1f CQI=%.1f MIMO=%.1f #RB=%.1f ccTput=%.0f total=%.0f\n",
-				r.Scenario, r.RSRPdBm, r.CQI, r.Layers, r.RB, r.CCTput, r.TotalTput)
-		}
-		printRows("Fig 14: same channel with/without CA", out)
-	}
-}
-
-func BenchmarkFig15_RBThrottling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig15RBThrottling(25) {
-			out += fmt.Sprintf("%-18s n41^b: #RB=%.1f layers=%.1f ccTput=%.0f\n",
-				r.Scenario, r.RB, r.Layers, r.CCTput)
-		}
-		printRows("Fig 15: same SCell under different combos", out)
-	}
-}
-
-func BenchmarkFig25_26_DrivingPrevalence(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, op := range spectrum.AllOperators() {
-			for _, r := range experiments.Fig25DrivingPrevalence(op, 27) {
-				out += fmt.Sprintf("%-4s %-9s 5G %3.0f%% CA %3.0f%% mean %4.0f Mbps, CC change every %.0fs\n",
-					r.Operator, r.Scenario, 100*r.NRFraction, 100*r.CAFraction, r.MeanMbps, r.EventPeriodS)
-			}
-		}
-		printRows("Figs 25/26: driving prevalence and throughput", out)
-	}
-}
-
-func BenchmarkFig27_28_IndoorCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := experiments.Fig27IndoorCoverage(29)
-		printRows("Figs 27/28: indoor FDD-TDD CA coverage", fmt.Sprintf(
-			"with n71: 5G %.0f%% CA %.0f%% mean %.0f Mbps | without: 5G %.0f%% CA %.0f%% mean %.0f Mbps | RSRP n71 %.1f vs n41 %.1f dBm\n",
-			100*r.WithLowBand.NRFraction, 100*r.WithLowBand.CAFraction, r.WithLowBand.MeanMbps,
-			100*r.WithoutLowBand.NRFraction, 100*r.WithoutLowBand.CAFraction, r.WithoutLowBand.MeanMbps,
-			r.LowBandRSRP, r.MidBandRSRP))
-	}
-}
-
-func BenchmarkFig29_UECapability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig29UECapability(31) {
-			out += fmt.Sprintf("%-4s (%-9s) maxCC=%d CA%%=%3.0f mean=%4.0f Mbps\n",
-				r.Modem, r.Phone, r.MaxCCs, 100*r.CAFrac, r.MeanMbps)
-		}
-		printRows("Fig 29: UE capability", out)
-	}
-}
-
-func BenchmarkTable5_UEModems(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Fig29UECapability(31) {
-			out += fmt.Sprintf("modem %s = %s\n", r.Modem, r.Phone)
-		}
-		printRows("Table 5: UE and modem models", out)
-	}
-}
-
-func BenchmarkTable8_TemporalSignal(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := ""
-		for _, r := range experiments.Table8TemporalDynamics(33) {
-			out += fmt.Sprintf("%-11s RB=%.1f CQI=%.1f MCS=%.1f perCC=%v\n",
-				r.Label, r.MeanRB, r.MeanCQI, r.MeanMCS, r.PerCC)
-		}
-		printRows("Tables 8/9/10: temporal dynamics", out)
-	}
-}
-
-func BenchmarkTable9_10_RushHourLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table8TemporalDynamics(35)
-		var rush, night experiments.TemporalRow
-		for _, r := range rows {
-			switch r.Label {
-			case "T1 rush":
-				rush = r
-			case "T2 night":
-				night = r
-			}
-		}
-		printRows("Tables 9/10: rush hour shrinks RBs, CQI stable", fmt.Sprintf(
-			"rush: RB=%.1f CQI=%.1f | night: RB=%.1f CQI=%.1f\n",
-			rush.MeanRB, rush.MeanCQI, night.MeanRB, night.MeanCQI))
+		})
 	}
 }
 

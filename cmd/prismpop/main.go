@@ -14,6 +14,8 @@
 // independent of the population size; discard counts and drops (for
 // capacity measurements); memory materializes a dataset and prints its
 // summary. The emitted stream is byte-identical at any -workers setting.
+// -op and -mobility take the exact names grid configs take (OpZ,
+// walking); -scenario and -modem ignore case.
 package main
 
 import (
@@ -39,15 +41,6 @@ func parseScenario(s string) (mobility.Scenario, error) {
 	return 0, fmt.Errorf("unknown scenario %q (urban, suburban, beltway, indoor)", s)
 }
 
-func parseMobility(s string) (mobility.Mobility, error) {
-	for _, m := range []mobility.Mobility{mobility.Stationary, mobility.Walking, mobility.Driving} {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown mobility %q (stationary, walking, driving)", s)
-}
-
 func parseModem(s string) (ran.Modem, error) {
 	for _, m := range ran.AllModems() {
 		if strings.EqualFold(m.String(), s) {
@@ -55,15 +48,6 @@ func parseModem(s string) (ran.Modem, error) {
 		}
 	}
 	return 0, fmt.Errorf("unknown modem %q (X50, X55, X60, X65, X70)", s)
-}
-
-func parseOperator(s string) (spectrum.Operator, error) {
-	for _, op := range spectrum.AllOperators() {
-		if strings.EqualFold(string(op), s) {
-			return op, nil
-		}
-	}
-	return "", fmt.Errorf("unknown operator %q (OpX, OpY, OpZ)", s)
 }
 
 func main() {
@@ -86,7 +70,7 @@ func main() {
 	teleFlags := obs.BindFlags(flag.CommandLine)
 	flag.Parse()
 
-	op, err := parseOperator(*opFlag)
+	op, err := spectrum.ParseOperator(*opFlag)
 	if err != nil {
 		log.Fatalf("prismpop: %v", err)
 	}
@@ -94,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("prismpop: %v", err)
 	}
-	mob, err := parseMobility(*mobFlag)
+	mob, err := mobility.ParseMobility(*mobFlag)
 	if err != nil {
 		log.Fatalf("prismpop: %v", err)
 	}

@@ -36,15 +36,12 @@ var testOnlyAllowed = map[string]string{
 	"obs.Span.Active":        "obs' tests read whether a span is still open with it",
 
 	// Paper and API surface.
-	"core.Prism5G.PredictPerCC":       "the per-carrier decomposition of the paper's Fig 33/34",
-	"experiments.Fig2Multimodality":   "paper Fig 2/24, regenerated by the root bench harness",
-	"experiments.Fig27IndoorCoverage": "paper Figs 27/28, regenerated by the root bench harness",
-	"experiments.Fig29UECapability":   "paper Fig 29 and Table 5, regenerated by the root bench harness",
-	"mobility.Mover.Traveled":         "the mover's odometer, beside Pos",
-	"spectrum.MustBand":               "band lookup for statically known names",
-	"spectrum.Plan.ChannelsByTech":    "spectrum plan query by technology",
-	"spectrum.Plan.ChannelsByRange":   "spectrum plan query by frequency range",
-	"spectrum.Band.MaxBandwidthMHz":   "band capability query",
+	"core.Prism5G.PredictPerCC":     "the per-carrier decomposition of the paper's Fig 33/34",
+	"mobility.Mover.Traveled":       "the mover's odometer, beside Pos",
+	"spectrum.MustBand":             "band lookup for statically known names",
+	"spectrum.Plan.ChannelsByTech":  "spectrum plan query by technology",
+	"spectrum.Plan.ChannelsByRange": "spectrum plan query by frequency range",
+	"spectrum.Band.MaxBandwidthMHz": "band capability query",
 
 	// The CSV/JSON ingest API and interface methods.
 	"trace.ReadCSV":          "CSV ingest of measurement logs",
@@ -128,17 +125,18 @@ func (s *sourceImporter) Import(path string) (*types.Package, error) {
 // non-test package is type-checked, so a use counts only if it resolves
 // to the declaration itself (through Origin for generics); a method of
 // another type with the same name is no caller. A method also counts as
-// called when an interface of the module or of the standard library
-// declares its name, since a call through that interface reaches it, and
-// the methods of a type the root package re-exports by alias are public
-// API.
+// called when its type, or a pointer to it, implements an interface that
+// declares the method (an interface type of the module, a named interface
+// of the standard library or error), since a call through that interface
+// reaches it, and the methods of a type the root package re-exports by
+// alias are public API.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	s := &sourceImporter{
 		fset:   token.NewFileSet(),
 		listed: map[string]listedPackage{},
 		pkgs:   map[string]*types.Package{},
 		files:  map[string][]*ast.File{},
-		info:   &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		info:   &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}},
 	}
 	s.std = importer.ForCompiler(s.fset, "gc", nil)
 	var module []string
@@ -165,22 +163,21 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		used[obj] = true
 	}
 
-	// Method names that some interface declares: every interface type
-	// written in the module, and every named interface of the standard
-	// library packages it reaches.
-	declaredByInterface := map[string]bool{}
-	for _, files := range s.files {
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if iface, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range iface.Methods.List {
-						for _, name := range m.Names {
-							declaredByInterface[name.Name] = true
-						}
-					}
-				}
-				return true
-			})
+	// The interfaces a call can reach a method through, by method name:
+	// every interface type written in the module, every named interface
+	// of the standard library packages it reaches, and error.
+	ifaces := map[string][]*types.Interface{}
+	addIface := func(t types.Type) {
+		if iface, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < iface.NumMethods(); i++ {
+				ifaces[iface.Method(i).Name()] = append(ifaces[iface.Method(i).Name()], iface)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for expr, tv := range s.info.Types {
+		if _, ok := expr.(*ast.InterfaceType); ok {
+			addIface(tv.Type)
 		}
 	}
 	stdSeen := map[*types.Package]bool{}
@@ -192,11 +189,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		stdSeen[pkg] = true
 		for _, name := range pkg.Scope().Names() {
 			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok {
-				if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-					for i := 0; i < iface.NumMethods(); i++ {
-						declaredByInterface[iface.Method(i).Name()] = true
-					}
-				}
+				addIface(tn.Type())
 			}
 		}
 		for _, imp := range pkg.Imports() {
@@ -207,6 +200,14 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		for _, imp := range pkg.Imports() {
 			walkStd(imp)
 		}
+	}
+	implemented := func(tn *types.TypeName, name string) bool {
+		for _, iface := range ifaces[name] {
+			if types.Implements(tn.Type(), iface) || types.Implements(types.NewPointer(tn.Type()), iface) {
+				return true
+			}
+		}
+		return false
 	}
 
 	// Types the root package re-exports by alias.
@@ -255,7 +256,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			for i := 0; i < named.NumMethods(); i++ {
 				m := named.Method(i)
 				if m.Exported() {
-					check(key+"."+m.Name(), m, used[m] || declaredByInterface[m.Name()] || public[tn])
+					check(key+"."+m.Name(), m, used[m] || public[tn] || implemented(tn, m.Name()))
 				}
 			}
 		}

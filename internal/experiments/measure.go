@@ -1,8 +1,10 @@
 // Package experiments implements the paper's evaluation: one function per
-// table or figure, shared by the CLI tools, the benchmark harness and the
-// integration tests. Measurement experiments (this file) exercise the
+// table or figure, and Artifacts (artifacts.go), the one table of entries
+// that renders each table and figure for cmd/prismeval and the root
+// BenchmarkPaper. Measurement experiments (this file) exercise the
 // simulator; learning experiments (ml.go) train and compare predictors; QoE
-// experiments (qoe.go) drive the two applications.
+// experiments (qoe.go) drive the two applications; cell.go runs the
+// scenario-grid cells.
 package experiments
 
 import (

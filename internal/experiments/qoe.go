@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"prism5g/internal/mobility"
@@ -255,14 +254,4 @@ func Fig20ABRPredictors(cfg MLConfig, sessions int) []ABRPredictorRow {
 		})
 	}
 	return rows
-}
-
-// FormatABRRows renders Fig 20/21 rows as a table.
-func FormatABRRows(rows []ABRPredictorRow) string {
-	out := fmt.Sprintf("%-14s %10s %10s %8s %8s %8s\n", "Predictor", "AvgMbps", "StallMean", "P90", "P95", "P99")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-14s %10.1f %10.1f %8.1f %8.1f %8.1f\n",
-			r.Predictor, r.AvgMbps, r.StallMeanS, r.StallP90, r.StallP95, r.StallP99)
-	}
-	return out
 }

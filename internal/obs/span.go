@@ -29,9 +29,6 @@ func (r *Registry) StartSpan(name string) Span {
 // Active reports whether the span records (false for the disabled path).
 func (s Span) Active() bool { return s.r != nil }
 
-// Name returns the span's metric name ("" for the zero span).
-func (s Span) Name() string { return s.name }
-
 // End records the elapsed time and returns it. Safe on the zero Span.
 func (s Span) End() time.Duration {
 	if s.r == nil {

@@ -8,7 +8,7 @@
 #      carrying the population counters.
 #   2. The emitted stream must be byte-identical at -workers 1 and 4
 #      (the population determinism contract).
-#   3. prismeval -population must run the full streaming pipeline
+#   3. prismeval -only population must run the full streaming pipeline
 #      (spill -> incremental scaler fit -> streamed windows -> streamed
 #      training) to completion.
 set -eu
@@ -53,7 +53,7 @@ if ! cmp -s "$dir/w1.jsonl" "$dir/w4.jsonl"; then
 fi
 echo "pop-smoke: spills byte-identical at workers 1 and 4" >&2
 
-echo "pop-smoke: prismeval -population streaming pipeline" >&2
-$GO run ./cmd/prismeval -quick -population >&2
+echo "pop-smoke: prismeval -only population streaming pipeline" >&2
+$GO run ./cmd/prismeval -quick -only population >&2
 
 echo "pop-smoke: ok" >&2
